@@ -1,8 +1,5 @@
-//! Micro-benchmarks of the arena `ChannelPool` hot paths: index-addressed
-//! ring push/pop against a `VecDeque` baseline, and bulk batch-window
-//! moves against their per-element equivalent. The same workloads feed the
-//! `pool_microbench` binary, which records the means in
-//! `BENCH_kernel.json`.
+//! Micro-benchmark of the arena `ChannelPool` hot path: one ring hop per
+//! beat per cycle.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -15,21 +12,6 @@ fn bench_channel_pool(c: &mut Criterion) {
     let mut group = c.benchmark_group("channel_pool");
     group.bench_function("ring_push_pop", |b| {
         b.iter(|| poolbench::ring_push_pop(black_box(OPS)))
-    });
-    group.bench_function("vecdeque_push_pop", |b| {
-        b.iter(|| poolbench::vecdeque_push_pop(black_box(OPS)))
-    });
-    group.bench_function("ring_relay_per_cycle", |b| {
-        b.iter(|| poolbench::ring_relay_per_cycle(black_box(OPS)))
-    });
-    group.bench_function("ring_batch_move", |b| {
-        b.iter(|| poolbench::ring_batch_move(black_box(OPS)))
-    });
-    group.bench_function("vecdeque_relay_per_cycle", |b| {
-        b.iter(|| poolbench::vecdeque_relay_per_cycle(black_box(OPS)))
-    });
-    group.bench_function("vecdeque_batch_move", |b| {
-        b.iter(|| poolbench::vecdeque_batch_move(black_box(OPS)))
     });
     group.finish();
 }

@@ -35,10 +35,10 @@ impl PointRuntime {
     }
 
     /// A deterministic report row. Only the total simulated cycle count
-    /// appears here: it is identical under the event kernel and forced
+    /// appears here: it is identical under the default kernel and forced
     /// cycle stepping (`REALM_KERNEL=step`), so `results/*.json` stays
     /// bit-identical whichever kernel ran. Kernel-dependent counters
-    /// (ticks executed, skips, wire events) belong in `BENCH_kernel.json`
+    /// (ticks executed, skips) belong in `BENCH_kernel.json`
     /// via [`SweepOutcome::write_kernel_baseline`].
     pub fn to_runtime_row(&self) -> Row {
         Row::new(
@@ -95,22 +95,6 @@ impl<R> SweepOutcome<R> {
     /// Sum of per-component elided ticks across points.
     pub fn component_skips(&self) -> u64 {
         self.runtime.iter().map(|p| p.kernel.component_skips).sum()
-    }
-
-    /// Sum of recorded wire push/pop wake events across points.
-    pub fn wire_events(&self) -> u64 {
-        self.runtime.iter().map(|p| p.kernel.wire_events).sum()
-    }
-
-    /// Sum of beats moved by bulk batch windows across points (a subset of
-    /// the beats `wire_events` already counts).
-    pub fn batched_beats(&self) -> u64 {
-        self.runtime.iter().map(|p| p.kernel.batched_beats).sum()
-    }
-
-    /// Sum of batch windows the arena kernel executed across points.
-    pub fn batch_windows(&self) -> u64 {
-        self.runtime.iter().map(|p| p.kernel.batch_windows).sum()
     }
 
     /// A one-line human summary of the sweep's runtime, for stdout (not for
@@ -199,22 +183,12 @@ impl<R> SweepOutcome<R> {
                     ("fast_forwards".to_owned(), int(p.kernel.fast_forwards)),
                     ("component_ticks".to_owned(), int(p.kernel.component_ticks)),
                     ("component_skips".to_owned(), int(p.kernel.component_skips)),
-                    ("wire_events".to_owned(), int(p.kernel.wire_events)),
-                    ("batched_beats".to_owned(), int(p.kernel.batched_beats)),
-                    ("batch_windows".to_owned(), int(p.kernel.batch_windows)),
                     ("cycles_per_sec".to_owned(), num(p.cycles_per_sec())),
                 ])
             })
             .collect();
-        // Which kernel produced these numbers (same resolution rules as
-        // axi-sim's REALM_KERNEL handling; anything unrecognized is the
-        // default event kernel).
-        let kernel = match std::env::var("REALM_KERNEL").as_deref() {
-            Ok("step") | Ok("stepped") | Ok("cycle") => "step",
-            Ok("islands") | Ok("island") => "islands",
-            Ok("arena") | Ok("compiled") => "arena",
-            _ => "event",
-        };
+        // Which kernel produced these numbers.
+        let kernel = axi_sim::KernelMode::from_env().name();
         let mut doc = vec![
             ("experiment".to_owned(), Json::Str(experiment.to_owned())),
             ("kernel".to_owned(), Json::Str(kernel.to_owned())),
@@ -225,9 +199,6 @@ impl<R> SweepOutcome<R> {
             ("cycles_skipped".to_owned(), int(self.cycles_skipped())),
             ("component_ticks".to_owned(), int(self.component_ticks())),
             ("component_skips".to_owned(), int(self.component_skips())),
-            ("wire_events".to_owned(), int(self.wire_events())),
-            ("batched_beats".to_owned(), int(self.batched_beats())),
-            ("batch_windows".to_owned(), int(self.batch_windows())),
             ("points".to_owned(), Json::Arr(points)),
         ];
         if let Some(p) = partition {
@@ -238,7 +209,6 @@ impl<R> SweepOutcome<R> {
                     ("islands".to_owned(), int(p.island_count() as u64)),
                     ("largest_island".to_owned(), int(p.largest_island() as u64)),
                     ("schedule_depth".to_owned(), int(p.depth as u64)),
-                    ("batch_approved".to_owned(), int(p.batch_approved() as u64)),
                 ]),
             ));
         }
@@ -337,9 +307,6 @@ mod tests {
             fast_forwards: u64::from(skipped > 0),
             component_ticks: ticks * 2,
             component_skips: skipped * 2,
-            wire_events: ticks,
-            batched_beats: ticks / 2,
-            batch_windows: u64::from(ticks > 1),
         }
     }
 
@@ -364,13 +331,10 @@ mod tests {
         assert_eq!(outcome.cycles_skipped(), 6);
         assert_eq!(outcome.component_ticks(), 1200);
         assert_eq!(outcome.component_skips(), 12);
-        assert_eq!(outcome.wire_events(), 600);
-        assert_eq!(outcome.batched_beats(), 300);
-        assert_eq!(outcome.batch_windows(), 3);
         let rows = outcome.runtime_rows();
         assert_eq!(rows.len(), 3);
         // Runtime rows carry only the kernel-invariant total, so report
-        // files diff clean between the event kernel and forced stepping.
+        // files diff clean between the default kernel and forced stepping.
         assert_eq!(rows[1].values, [("cycles".to_owned(), 202.0)]);
         assert_eq!(rows[2].values, [("cycles".to_owned(), 303.0)]);
     }
@@ -393,18 +357,13 @@ mod tests {
         assert!(!text.contains("\"threads\": 1.0"), "{text}");
         let point = &doc.get("points").unwrap().as_arr().unwrap()[0];
         assert_eq!(
-            point.get("wire_events"),
-            Some(&crate::json::Json::Int(7000))
+            point.get("component_ticks"),
+            Some(&crate::json::Json::Int(14000))
         );
         assert_eq!(
             point.get("component_skips"),
             Some(&crate::json::Json::Int(14))
         );
-        assert_eq!(
-            point.get("batched_beats"),
-            Some(&crate::json::Json::Int(3500))
-        );
-        assert_eq!(doc.get("batch_windows"), Some(&crate::json::Json::Int(1)));
         std::fs::remove_file(&path).ok();
     }
 

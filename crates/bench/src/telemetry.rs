@@ -170,8 +170,7 @@ where
 }
 
 /// The kernel self-profile as a JSON array for `BENCH_kernel.json`:
-/// per-component visits, batch-window cycles, wakes, and (with the
-/// `self-profile` feature) wall-time.
+/// per-component visits and (with the `self-profile` feature) wall-time.
 pub fn profile_json(profile: &[ComponentProfile]) -> Json {
     let int = |n: u64| Json::Int(i64::try_from(n).unwrap_or(i64::MAX));
     Json::Arr(
@@ -181,8 +180,6 @@ pub fn profile_json(profile: &[ComponentProfile]) -> Json {
                 Json::Obj(vec![
                     ("name".to_owned(), Json::Str(p.name.clone())),
                     ("visits".to_owned(), int(p.visits)),
-                    ("batch_cycles".to_owned(), int(p.batch_cycles)),
-                    ("wakes".to_owned(), int(p.wakes)),
                     ("wall_ns".to_owned(), int(p.wall_ns)),
                 ])
             })
@@ -348,8 +345,6 @@ mod tests {
             index: 0,
             name: "core".to_owned(),
             visits: 42,
-            batch_cycles: 7,
-            wakes: 3,
             wall_ns: 0,
         }];
         let json = profile_json(&profile);

@@ -500,13 +500,12 @@ impl Component for ProtocolMonitor {
         self.bundle.observer_ports()
     }
 
-    // Purely reactive: taps only fill on pushes, and every push on an
-    // observed wire wakes this component for the same or the next cycle
-    // (same-cycle for peers ticking later, so the drain stays beat-exact).
-    // The kernel may fast-forward with beats *parked* on the wires — e.g.
-    // through an isolation window — but parked beats were pushed earlier
-    // and thus already drained; silence on the taps is exactly what `None`
-    // promises to cover.
+    // Purely reactive: taps only fill on pushes, a cycle with a push is
+    // never skipped, and the monitor ticks every executed cycle. The kernel
+    // may fast-forward with beats *parked* on the wires — e.g. through an
+    // isolation window — but parked beats were pushed earlier and thus
+    // already drained; silence on the taps is exactly what `None` promises
+    // to cover.
     fn next_event(&self, _cycle: Cycle) -> Option<Cycle> {
         None
     }
@@ -516,17 +515,6 @@ impl Component for ProtocolMonitor {
     // require a monitor tick.
     fn backlog_event(&self, _cycle: Cycle) -> Option<Cycle> {
         None
-    }
-
-    // Unbounded: the monitor's state is a pure fold over stamped tap
-    // records in push order — violations and counters come out identical
-    // whether a span of ticks is replayed beat-exact or its drains land in
-    // one batch (each record carries the cycle it was pushed, and causal
-    // channel order within a drain is preserved by `tick`). An observer
-    // also never pushes or pops, so the capacity half of the horizon
-    // contract is vacuous.
-    fn batch_horizon(&self, _cycle: Cycle, _pool: &axi_sim::ChannelPool) -> u64 {
-        u64::MAX
     }
 
     fn coverage(&self, map: &mut axi_sim::CoverageMap) {

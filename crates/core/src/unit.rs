@@ -2,7 +2,7 @@
 //! component between a manager and the interconnect.
 
 use axi4::{fragment_read, fragment_write_header};
-use axi_sim::{AxiBundle, ChannelPool, Component, CoverageMap, TickCtx};
+use axi_sim::{AxiBundle, Component, CoverageMap, TickCtx};
 use realm_telemetry::{trace_from_env, Histogram, TelemetrySink};
 
 use crate::config::{DesignConfig, RuntimeConfig};
@@ -443,9 +443,9 @@ impl RealmUnit {
 
     /// Rising-edge detection on the isolation and depletion signals, run
     /// at the end of every executed tick (both the enabled and bypass
-    /// paths). Sleeping kernels never miss an edge: isolation is constant
-    /// across a sleep stretch (see `on_fast_forward`), and both signals
-    /// change only at ticks every kernel executes.
+    /// paths). Skipping never misses an edge: isolation is constant across
+    /// a skipped stretch (see `on_fast_forward`), and both signals change
+    /// only at ticks every kernel executes.
     fn note_status_edges(&mut self, cycle: u64) {
         let depleted = self.monitor.any_depleted();
         if depleted && !self.was_depleted {
@@ -584,8 +584,8 @@ impl Component for RealmUnit {
         }
         // Intake is closed and nothing is coming back: the gates reopen at
         // a period boundary (or via queued-fragment motion), which
-        // `next_event` computes, or on fresh wire activity, which the
-        // kernel's wire wakes deliver regardless of this hint.
+        // `next_event` computes, or on fresh wire activity, and the kernel
+        // never skips a cycle that moved a beat.
         self.next_event(cycle)
     }
 
@@ -607,65 +607,6 @@ impl Component for RealmUnit {
         // are constant while asleep; and a region whose budget or byte
         // counter differs from its reset value has a period-boundary wake
         // scheduled, so no stretch crosses a replenishment.
-    }
-
-    fn batch_horizon(&self, cycle: u64, pool: &ChannelPool) -> u64 {
-        // Only the transparent-wire bypass is batchable: an enabled unit
-        // makes per-cycle decisions (budgets, fragmentation, isolation)
-        // that are exactly the discrete transitions a window must exclude.
-        if self.active.enabled || self.reconfiguring {
-            return 0;
-        }
-        {
-            // A pending register command needs `sync_config` every cycle
-            // until applied.
-            let shared = self.regs.borrow();
-            if shared.clear_stats || shared.runtime != self.active {
-                return 0;
-            }
-        }
-        // The period grid advances per cycle once any region has a period;
-        // with all periods zero `BudgetMonitor::tick` is a no-op.
-        if self.monitor.regions().iter().any(|r| r.config.period > 0) {
-            return 0;
-        }
-        // Capacity bound per relay chain: the beats already queued and
-        // visible on the consumed wire, and the free slots on the driven
-        // wire. Every channel constrains — an empty channel yields zero,
-        // because a peer's in-window push would reach the per-cycle relay
-        // one cycle later but not a ring sweep sized at window start.
-        let up = self.upstream;
-        let down = self.downstream;
-        pool.relayable(up.aw, cycle)
-            .min(pool.headroom(down.aw, cycle))
-            .min(pool.relayable(up.w, cycle))
-            .min(pool.headroom(down.w, cycle))
-            .min(pool.relayable(up.ar, cycle))
-            .min(pool.headroom(down.ar, cycle))
-            .min(pool.relayable(down.b, cycle))
-            .min(pool.headroom(up.b, cycle))
-            .min(pool.relayable(down.r, cycle))
-            .min(pool.headroom(up.r, cycle))
-    }
-
-    fn batch_tick(&mut self, ctx: &mut TickCtx<'_>, window: u64) {
-        // Reached only through `batch_horizon`, i.e. in steady bypass:
-        // `sync_config` and `BudgetMonitor::tick` are no-ops, so `window`
-        // transparent-relay ticks collapse to five ring sweeps. Each sweep
-        // moves exactly `window` beats (the horizon bounded the window by
-        // every chain's `relayable`/`headroom`), with stamps, taps, and
-        // stats landing where the per-cycle ticks would have put them.
-        debug_assert!(!self.active.enabled && !self.reconfiguring);
-        let up = self.upstream;
-        let down = self.downstream;
-        ctx.pool.batch_relay(up.aw, down.aw, ctx.cycle, window);
-        ctx.pool.batch_relay(up.w, down.w, ctx.cycle, window);
-        ctx.pool.batch_relay(up.ar, down.ar, ctx.cycle, window);
-        ctx.pool.batch_relay(down.b, up.b, ctx.cycle, window);
-        ctx.pool.batch_relay(down.r, up.r, ctx.cycle, window);
-        // Everything `mirror_status` writes is unchanged by pure relaying;
-        // one trailing call matches the last per-cycle tick's mirror.
-        self.mirror_status();
     }
 
     fn coverage(&self, map: &mut CoverageMap) {

@@ -33,9 +33,9 @@
 //! full intra-cycle dependence graph — wire edges from port declarations,
 //! couple edges from [`Sim::couple`](axi_sim::Sim::couple), comb edges
 //! from the system model — and computes a [`Partition`]: the island
-//! decomposition (independently steppable connected components, executed
-//! by the `REALM_KERNEL=islands` kernel and enforced at runtime by the
-//! `REALM_SANITIZE=1` access sanitizer) and a deterministic static
+//! decomposition (connected components that can never observe each
+//! other, enforced at runtime by the `REALM_SANITIZE=1` access
+//! sanitizer) and a deterministic static
 //! evaluation schedule with its zero-latency depth.
 //!
 //! Feasibility findings are warnings by design: the paper's own Fig. 6b
@@ -47,14 +47,14 @@
 //! `REALM_LINT=0` to opt out and `REALM_LINT=verbose` to print warnings.
 //!
 //! **Runtime-checked kernel contract (`kernel-stale-hint`).** One rule in
-//! the catalogue is enforced by the event kernel itself rather than by
+//! the catalogue is enforced by the simulation kernel itself rather than by
 //! either static pass, because it depends on dynamic state no
 //! elaboration-time or source-level check can see: a component's
 //! [`next_event`](axi_sim::Component::next_event) /
 //! [`backlog_event`](axi_sim::Component::backlog_event) wake hint must
-//! name a cycle `>=` the one being asked about. A stale hint (at or
-//! before an already-ticked cycle) cannot be honored — the kernel falls
-//! back to re-ticking the component next cycle, so results stay exact,
+//! name a cycle `>=` the one being asked about. A stale hint (before the
+//! cycle asked about) cannot be honored — the kernel executes the next
+//! cycle instead of skipping, so results stay exact,
 //! and records the violation (component name, cycle, offending hint) in
 //! [`Sim::contract_violations`](axi_sim::Sim::contract_violations).
 //! Testbenches and the `kernel_equivalence` property tests assert the

@@ -20,11 +20,9 @@
 //!   are registered and thus never constrain intra-cycle order), with
 //!   smallest-registration-index tie-breaking, island-major;
 //! - the **island partition**: connected components of the undirected
-//!   dependence graph. No edge of any kind crosses an island, so each
-//!   island can be stepped independently of the others — the
-//!   `REALM_KERNEL=islands` kernel executes exactly this partition, and
-//!   the `REALM_SANITIZE=1` access sanitizer checks at runtime that no
-//!   undeclared access escapes it.
+//!   dependence graph. No edge of any kind crosses an island, so no
+//!   island can observe another, and the `REALM_SANITIZE=1` access
+//!   sanitizer checks at runtime that no undeclared access escapes it.
 //!
 //! Three diagnostics police the couple declarations themselves: a couple
 //! duplicating an existing wire edge (`couple-redundant`), a couple whose
@@ -101,14 +99,6 @@ pub struct Partition {
     pub depth: usize,
     /// Number of opaque (port-less) components.
     pub opaque: usize,
-    /// Per-component beat-batching approval, in registration order — the
-    /// plan fed to [`Sim::set_batch_plan`](axi_sim::Sim::set_batch_plan).
-    /// A component is approved when its whole wire footprint is an
-    /// uncontended point-to-point path (see `batch_plan` in
-    /// `build_partition` for the exact rule); approval is structural
-    /// permission only — the arena kernel still requires a per-cycle
-    /// `batch_horizon` promise before opening a window.
-    pub batch_allowed: Vec<bool>,
 }
 
 impl Partition {
@@ -118,7 +108,7 @@ impl Partition {
     }
 
     /// Size of the largest island — the serial fraction an island-parallel
-    /// kernel cannot break up without the finer arena-level analysis.
+    /// stepper could not split.
     pub fn largest_island(&self) -> usize {
         self.islands.iter().map(Vec::len).max().unwrap_or(0)
     }
@@ -126,11 +116,6 @@ impl Partition {
     /// Number of edges of the given kind.
     pub fn edge_count(&self, kind: DepEdgeKind) -> usize {
         self.edges.iter().filter(|e| e.kind == kind).count()
-    }
-
-    /// Number of components the beat-batching plan approves.
-    pub fn batch_approved(&self) -> usize {
-        self.batch_allowed.iter().filter(|&&b| b).count()
     }
 
     /// Renders the partition as a single JSON object:
@@ -143,13 +128,11 @@ impl Partition {
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
-            "{{\"components\":{},\"opaque\":{},\"batch_approved\":{},\
-             \"island_count\":{},\
+            "{{\"components\":{},\"opaque\":{},\"island_count\":{},\
              \"largest_island\":{},\"schedule_depth\":{},\
              \"edges\":{{\"wire\":{},\"couple\":{},\"comb\":{}}},\"islands\":[",
             self.names.len(),
             self.opaque,
-            self.batch_approved(),
             self.island_count(),
             self.largest_island(),
             self.depth,
@@ -329,8 +312,6 @@ fn build_partition(topo: &Topology, model: &SystemModel) -> Partition {
     }
     let depth = node_depth.into_iter().max().unwrap_or(0);
 
-    let batch_allowed = batch_plan(topo, &edges, &by_wire);
-
     Partition {
         names,
         edges,
@@ -338,100 +319,15 @@ fn build_partition(topo: &Topology, model: &SystemModel) -> Partition {
         schedule,
         depth,
         opaque: topo.opaque_components(),
-        batch_allowed,
     }
-}
-
-/// Derives the beat-batching plan from the dependence graph: which
-/// components the arena kernel may even *ask* for a batch horizon.
-///
-/// A component is approved when one of:
-///
-/// - it is a **passive observer** — every port is `Observe`. Taps record
-///   `(cycle, beat)` pairs, so an observer's state is a pure fold over
-///   stamped records and survives any exact reordering of its ticks;
-/// - it is a **point-to-point relay or endpoint**: it has ports, it is not
-///   the source of a couple/comb edge (a flush source must tick per cycle
-///   so its dependents observe reconciled state), it never **multiplexes**
-///   a channel (at most one `Drive` and one `Consume` port per channel
-///   label — an arbiter like the crossbar fans several managers into one
-///   subordinate and its grant decisions are inherently cycle-by-cycle),
-///   and every wire it drives or consumes is **uncontended**: exactly one
-///   driving and one consuming component system-wide (observers tap
-///   passively and do not count).
-///
-/// Opaque (port-less) components are never approved — the kernel cannot
-/// bound what it cannot see.
-fn batch_plan(topo: &Topology, edges: &[DepEdge], by_wire: &WireEndpoints<'_>) -> Vec<bool> {
-    let n = topo.components.len();
-
-    // Wires with exactly one driver and one consumer. `by_wire` merges
-    // consumers and observers into one sink list, so recount consumers
-    // from the raw ports.
-    let mut consumers: BTreeMap<(&str, usize), usize> = BTreeMap::new();
-    for c in &topo.components {
-        for p in &c.ports {
-            if p.dir == PortDir::Consume {
-                *consumers.entry((p.channel, p.wire)).or_default() += 1;
-            }
-        }
-    }
-    let point_to_point = |channel: &str, wire: usize| -> bool {
-        by_wire
-            .get(&(channel, wire))
-            .is_some_and(|(drivers, _)| drivers.len() == 1)
-            && consumers.get(&(channel, wire)) == Some(&1)
-    };
-
-    // Couple/comb sources flush their dependents before every tick; a
-    // batched source would skip those reconciliation points.
-    let mut flush_source = vec![false; n];
-    for e in edges {
-        if matches!(e.kind, DepEdgeKind::Couple | DepEdgeKind::Comb) && e.from < n {
-            flush_source[e.from] = true;
-        }
-    }
-
-    topo.components
-        .iter()
-        .map(|c| {
-            if c.ports.is_empty() {
-                return false;
-            }
-            if c.ports.iter().all(|p| p.dir == PortDir::Observe) {
-                return true;
-            }
-            if flush_source[c.index] {
-                return false;
-            }
-            // No channel multiplexing: at most one driven and one consumed
-            // wire per channel label.
-            let mut per_channel: BTreeMap<&str, (usize, usize)> = BTreeMap::new();
-            for p in &c.ports {
-                let (drives, consumes) = per_channel.entry(p.channel).or_default();
-                match p.dir {
-                    PortDir::Drive => *drives += 1,
-                    PortDir::Consume => *consumes += 1,
-                    PortDir::Observe => {}
-                }
-            }
-            if per_channel.values().any(|&(d, s)| d > 1 || s > 1) {
-                return false;
-            }
-            c.ports.iter().all(|p| match p.dir {
-                PortDir::Observe => true,
-                PortDir::Drive | PortDir::Consume => point_to_point(p.channel, p.wire),
-            })
-        })
-        .collect()
 }
 
 /// `couple-redundant`: a couple between two components that already share
 /// a declared wire. The wire already puts the pair in one island, so as a
 /// *dependence* edge the couple adds nothing — either the shared state
 /// mirrors what the wire carries (drop the couple) or the ports
-/// over-declare. Warning, not error: the couple still changes event-kernel
-/// wake behaviour for writes without wire activity.
+/// over-declare. Warning, not error: the couple still keeps the kernel
+/// from skipping past writes without wire activity.
 fn check_couple_redundant(topo: &Topology, report: &mut Report) {
     if topo.couples.is_empty() {
         return;
@@ -708,97 +604,7 @@ mod tests {
         let j = p.to_json();
         assert!(j.starts_with("{\"components\":2,"));
         assert!(j.contains("\"island_count\":1"));
-        assert!(j.contains("\"batch_approved\":2"));
         assert!(j.contains("\"schedule\":[\"mgr\",\"sub\"]"));
         assert!(j.ends_with("]}"));
-    }
-
-    #[test]
-    fn batch_plan_approves_point_to_point_pair() {
-        // mgr → sub over one bundle: every wire has exactly one driver and
-        // one consumer, neither side multiplexes.
-        let (sim, _, _) = pair(("mgr", "sub"));
-        let (p, _) = analyze_deps(&sim.topology(), &SystemModel::new());
-        assert_eq!(p.batch_allowed, vec![true, true]);
-        assert_eq!(p.batch_approved(), 2);
-    }
-
-    #[test]
-    fn batch_plan_rejects_multiplexers_and_contended_wires() {
-        // Two managers share one subordinate bundle: the wires have two
-        // drivers (AW/W/AR) or two consumers (B/R), and the "arbiter"
-        // stand-in consumes two AW wires. Nobody batches.
-        let mut sim = Sim::new();
-        let bundle = AxiBundle::with_defaults(sim.pool_mut());
-        sim.add(Mgr {
-            bundle,
-            name: "mgr_a",
-        });
-        sim.add(Mgr {
-            bundle,
-            name: "mgr_b",
-        });
-        sim.add(Sub {
-            bundle,
-            name: "sub",
-        });
-        let (p, _) = analyze_deps(&sim.topology(), &SystemModel::new());
-        assert_eq!(p.batch_allowed, vec![false, false, false]);
-    }
-
-    #[test]
-    fn batch_plan_rejects_couple_sources_keeps_dependents() {
-        // mmio-style flush source: the couple source must tick per cycle
-        // (it flushes its dependent first); the dependent itself stays
-        // approved — its wires are untouched by the coupling.
-        let (mut sim, mgr, sub) = pair(("mmio", "unit"));
-        sim.couple(mgr, sub);
-        let (p, _) = analyze_deps(&sim.topology(), &SystemModel::new());
-        assert_eq!(p.batch_allowed, vec![false, true]);
-    }
-
-    #[test]
-    fn batch_plan_approves_passive_observers() {
-        struct Watcher {
-            bundle: AxiBundle,
-        }
-        impl Component for Watcher {
-            fn tick(&mut self, _ctx: &mut TickCtx<'_>) {}
-            fn name(&self) -> &str {
-                "watcher"
-            }
-            fn ports(&self) -> Vec<PortDecl> {
-                self.bundle.observer_ports()
-            }
-        }
-        let mut sim = Sim::new();
-        let bundle = AxiBundle::with_defaults(sim.pool_mut());
-        sim.add(Mgr {
-            bundle,
-            name: "mgr",
-        });
-        sim.add(Sub {
-            bundle,
-            name: "sub",
-        });
-        sim.add(Watcher { bundle });
-        let (p, _) = analyze_deps(&sim.topology(), &SystemModel::new());
-        // The observer does not count against the wires' endpoint budget.
-        assert_eq!(p.batch_allowed, vec![true, true, true]);
-    }
-
-    #[test]
-    fn batch_plan_rejects_opaque_components() {
-        struct Opaque;
-        impl Component for Opaque {
-            fn tick(&mut self, _ctx: &mut TickCtx<'_>) {}
-            fn name(&self) -> &str {
-                "opaque"
-            }
-        }
-        let mut sim = Sim::new();
-        sim.add(Opaque);
-        let (p, _) = analyze_deps(&sim.topology(), &SystemModel::new());
-        assert_eq!(p.batch_allowed, vec![false]);
     }
 }

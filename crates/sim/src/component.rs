@@ -38,37 +38,34 @@ pub trait Component: Any {
     }
 
     /// The earliest cycle `>= cycle` at which ticking this component could
-    /// change any state, **assuming no push or pop happens on any of its
-    /// declared wires before then**.
+    /// change any state, **assuming no push or pop happens on any wire
+    /// before then**.
     ///
-    /// This is the wake hint behind the event kernel in
-    /// [`Sim::run`](crate::Sim::run): each component sleeps until its hint
-    /// comes due or activity touches one of its [`Component::ports`] wires
-    /// — a push wakes it when the beat becomes visible (and same-cycle for
-    /// peers ticking later, so tap monitors stay beat-exact), a pop wakes
-    /// it when the freed capacity becomes usable. Cycles on which no
-    /// component is due are jumped over entirely.
+    /// This is the wake hint behind the idle skip in
+    /// [`Sim::run`](crate::Sim::run). After a cycle in which no beat moved
+    /// anywhere, the kernel asks every component for its hint and jumps
+    /// the whole system to the earliest one; the skipped ticks are never
+    /// executed. Because nothing moves during a skipped stretch, the hint
+    /// only has to cover the component's own state: timers, latency
+    /// countdowns, pending work it can do without new input.
     ///
     /// Return values:
     ///
     /// - `Some(cycle)` — must be ticked right now (the conservative
-    ///   default, which keeps legacy components exact by simply never
-    ///   letting them sleep).
+    ///   default, which keeps a component exact by never letting the
+    ///   system skip while it exists).
     /// - `Some(later)` — ticks strictly before `later` are no-ops absent
-    ///   wire activity; the kernel may elide them.
+    ///   wire activity; the kernel may skip them.
     /// - `None` — quiescent: only wire activity (or a declared
     ///   [`Sim::couple`](crate::Sim::couple) write) can require a tick.
     ///
-    /// Because pops also wake, a producer blocked on a full output wire may
-    /// report `None` and sleep until the consumer drains a slot. Components
-    /// that declared no ports are woken by *any* wire activity and kept
-    /// awake while any beat is in flight. A component whose tick holds
-    /// beats queued on its Consume wires is re-ticked every cycle until
-    /// those wires drain (one pop per wire per cycle, and it may decline).
+    /// Input parked on the component's Consume wires is covered
+    /// separately by [`Component::backlog_event`]. A component that reads
+    /// shared state outside its wires must either read it in this hint too
+    /// or be declared a couple dependent of the writer.
     ///
-    /// Returning a hint at or before an already-ticked cycle is a contract
-    /// violation: the kernel re-ticks next cycle (exactness is preserved)
-    /// and records it — see
+    /// Returning a hint before `cycle` is a contract violation: the kernel
+    /// executes the next cycle instead of skipping and records it — see
     /// [`Sim::contract_violations`](crate::Sim::contract_violations).
     /// Components whose per-cycle tick mutates time-proportional counters
     /// must reconcile them in [`Component::on_fast_forward`].
@@ -76,25 +73,23 @@ pub trait Component: Any {
         Some(cycle)
     }
 
-    /// The earliest cycle `>= cycle` at which this component could consume
-    /// backlog parked on its input wires.
+    /// The earliest cycle `>= cycle` at which this component could take
+    /// input parked on its Consume wires.
     ///
-    /// The event kernel calls this after a tick that left beats queued on
-    /// the component's Consume wires (or, for opaque components, anywhere
-    /// in the pool): a consumer pops at most one beat per wire per cycle
-    /// and may decline, so queued input alone does not say *when* the next
-    /// pop can happen. The conservative default — "right away" — re-ticks
-    /// the component every cycle until its inputs drain, which is always
-    /// exact but forfeits skipping while traffic is parked upstream.
+    /// The kernel asks this only while beats sit on one of the
+    /// component's Consume wires (for a component without declared ports,
+    /// anywhere in the pool) when it considers a skip. A consumer pops at
+    /// most one beat per wire per cycle and may decline, so queued input
+    /// alone does not say *when* the next pop can happen. The conservative
+    /// default — "right away" — forbids skipping while the input waits,
+    /// which is always exact.
     ///
     /// Components whose intake is gated on internal state can override:
     ///
     /// - `Some(later)` — intake is closed until `later` (e.g. a budget
-    ///   period boundary); ticks before then would not pop. The kernel
-    ///   still wakes the component early on any push/pop touching its
-    ///   wires, so the hint only needs to cover *silence*.
-    /// - `None` — [`Component::next_event`] plus wire wakes already cover
-    ///   every state change; queued input alone never requires a tick.
+    ///   period boundary); ticks before then would not pop.
+    /// - `None` — [`Component::next_event`] already covers every state
+    ///   change; queued input alone never requires a tick.
     ///
     /// The same exactness rule as [`Component::next_event`] applies: a
     /// hint must be `>= cycle`, and an override claiming `later` while a
@@ -120,75 +115,17 @@ pub trait Component: Any {
     }
 
     /// Notification that this component's ticks at cycles `from..to` were
-    /// elided (it was asleep) and it is about to be observed or ticked at
-    /// `to`.
+    /// skipped and it is about to be observed or ticked at `to`.
     ///
     /// Components whose tick accumulates per-cycle state (e.g. an
     /// isolated-cycles counter) must apply the `to - from` elided ticks
-    /// here so an event-driven run ends in exactly the state a stepped run
+    /// here so a skipping run ends in exactly the state a stepped run
     /// would. The kernel may reconcile one sleep stretch in several
     /// consecutive calls (`a..b` then `b..c`), so the accounting must
     /// compose. Components with purely event-driven state need nothing —
     /// the default is a no-op.
     fn on_fast_forward(&mut self, from: Cycle, to: Cycle) {
         let _ = (from, to);
-    }
-
-    /// How many upcoming cycles (starting at `cycle`) this component can
-    /// cover in one [`Component::batch_tick`] call instead of per-cycle
-    /// ticks.
-    ///
-    /// The arena kernel (`REALM_KERNEL=arena`) opens a *batch window* of
-    /// `w` cycles when every due component reports a horizon `>= w` (and
-    /// the window-safety conditions around sleeping peers hold — see
-    /// `DESIGN.md` §8). Within its horizon a component promises:
-    ///
-    /// - **No discrete status transition.** No budget exhaustion, isolation
-    ///   trip, period boundary, burst completion, workload completion, or
-    ///   any other state change that alters *which* actions it takes —
-    ///   only the repetition of the same per-cycle action (typically
-    ///   moving one beat).
-    /// - **Capacity-bounded progress.** A producer's horizon never exceeds
-    ///   the free slots its output wire shows *at window start*; a
-    ///   consumer's or relay's never exceeds the beats already queued and
-    ///   visible. This makes component-major window execution identical to
-    ///   the cycle-major interleaving: nothing a peer does inside the
-    ///   window can enable an action the horizon already counted on.
-    /// - **Declared wires only.** All window activity stays on wires in
-    ///   [`Component::ports`] (the kernel checks that every non-observer
-    ///   peer of those wires participates in the window).
-    ///
-    /// The default of `0` opts out: the component is only ever ticked
-    /// per cycle, and a due component reporting `< 2` vetoes any window
-    /// at that cycle. Horizons are consulted only for components the
-    /// batching plan ([`Sim::set_batch_plan`](crate::Sim::set_batch_plan))
-    /// approves, so conservative implementations may assume their wires
-    /// are uncontended point-to-point paths.
-    fn batch_horizon(&self, cycle: Cycle, pool: &ChannelPool) -> u64 {
-        let _ = (cycle, pool);
-        0
-    }
-
-    /// Advances the component by `window` cycles in one call, covering
-    /// cycles `ctx.cycle .. ctx.cycle + window`. Called only when
-    /// [`Component::batch_horizon`] returned `>= window`.
-    ///
-    /// The default replays `window` ordinary ticks with per-cycle
-    /// contexts, which is always exact — override it to claim the actual
-    /// speedup, e.g. by moving `window` queued beats in one
-    /// [`ChannelPool::batch_relay`] ring rotation. Implementations must
-    /// leave the component in exactly the state `window` per-cycle ticks
-    /// would have, including time-proportional counters (the kernel does
-    /// **not** call [`Component::on_fast_forward`] for batched spans — the
-    /// window was executed, not elided).
-    fn batch_tick(&mut self, ctx: &mut TickCtx<'_>, window: u64) {
-        for offset in 0..window {
-            let mut sub = TickCtx {
-                cycle: ctx.cycle + offset,
-                pool: &mut *ctx.pool,
-            };
-            self.tick(&mut sub);
-        }
     }
 
     /// Exports this component's coverage counters into `map` (see

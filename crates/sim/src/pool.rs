@@ -3,10 +3,7 @@
 //! Storage is arena-backed: each of the five AXI channels keeps one
 //! contiguous slot arena plus a table of [`Ring`] descriptors (one per
 //! wire) indexing into it. Allocating a wire extends the arena once at
-//! construction; pushing and popping beats never allocates. The arena
-//! layout is what makes the compiled arena kernel's bulk primitives
-//! ([`ChannelPool::batch_relay`]) a ring-to-ring copy instead of a
-//! per-beat `VecDeque` shuffle.
+//! construction; pushing and popping beats never allocates.
 
 use std::fmt;
 use std::marker::PhantomData;
@@ -146,37 +143,6 @@ pub(crate) fn channel_slot(label: &str) -> Option<usize> {
     }
 }
 
-/// One successful push or pop, recorded while the event kernel is driving
-/// ticks so it can translate wire activity into component wakes.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) struct WireEvent {
-    /// [`Channel::SLOT`] of the touched wire's channel.
-    pub slot: usize,
-    /// Pool-internal wire index within the channel.
-    pub wire: usize,
-    /// `true` for a push (new beat, visible next cycle), `false` for a pop
-    /// (freed capacity / new front beat).
-    pub push: bool,
-}
-
-/// Precomputed wake masks the arena kernel arms on the pool: per flat wire
-/// index, the set of schedule positions that depend on the wire. With the
-/// masks armed, every successful push and pop ORs at most two words into
-/// the pool's pending wake accumulators instead of growing an event log —
-/// the arena kernel's replacement for [`WireEvent`] recording.
-#[derive(Debug, Default)]
-pub(crate) struct WakeTables {
-    /// First flat wire index per channel slot.
-    pub slot_base: [usize; CHANNEL_SLOTS],
-    /// `flat_wire` → schedule positions of every endpoint (drive, consume,
-    /// observe) of the wire.
-    pub all: Vec<u64>,
-    /// `flat_wire` → schedule positions of observe-only endpoints. Pops
-    /// never change what a tap-driven observer sees, so observers are
-    /// excluded from pop wakes.
-    pub obs: Vec<u64>,
-}
-
 /// What an access-sanitizer check caught (see
 /// [`SanitizerViolation`](crate::SanitizerViolation)).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -187,10 +153,11 @@ pub enum SanitizerKind {
     /// A component popped a wire it does not declare with
     /// [`PortDir::Consume`](crate::PortDir::Consume).
     UndeclaredPop,
-    /// A sleeping component turned out to be due without any declared wire
-    /// or couple edge having woken it — it reacted to state outside its
-    /// declared dependence edges (the missed-wake cross-check; `channel`
-    /// and `wire` are placeholders for this kind).
+    /// At the end of a skipped stretch, a component whose hint had promised
+    /// silence beyond it turned out to be due — it reacted to state outside
+    /// its declared dependence edges, or its hint under-reported (the
+    /// missed-wake audit; `channel` and `wire` are placeholders for this
+    /// kind).
     UndeclaredWake,
 }
 
@@ -296,27 +263,14 @@ pub struct ChannelPool {
     // Beats ever accepted onto any wire, maintained incrementally so
     // activity watchers (the watchdog) read it in O(1).
     total_pushed: u64,
+    // Beats ever taken off any wire; with `total_pushed` it tells the
+    // kernel in O(1) whether a cycle moved anything.
+    total_popped: u64,
     // Registration index of the component currently being ticked, stamped
     // by the kernel so refusals can name their culprit.
     owner: Option<usize>,
     refusals: Vec<PushRefusal>,
     refusals_dropped: u64,
-    // Successful push/pop log, captured only while the event kernel has
-    // recording on; drained after every tick to derive wakes.
-    events: Vec<WireEvent>,
-    recording: bool,
-    // Wake-mask accumulators, armed only by the arena kernel (`None` =
-    // off). `actor_bit`/`actor_later` describe the component currently
-    // ticking in schedule-position space, refreshed per tick.
-    wake: Option<Box<WakeTables>>,
-    wake_now: u64,
-    wake_next: u64,
-    wake_any: bool,
-    wake_events: u64,
-    actor_bit: u64,
-    actor_later: u64,
-    // Beats moved by `batch_relay`, drained into the kernel stats.
-    batched_beats: u64,
     // Access-sanitizer tables (`None` = sanitizer off, the default; checks
     // cost one `is_some` branch per successful push/pop when off).
     san: Option<SanitizerTables>,
@@ -393,20 +347,6 @@ impl ChannelPool {
         }
         self.in_flight += 1;
         self.total_pushed += 1;
-        if self.recording {
-            self.events.push(WireEvent {
-                slot: T::SLOT,
-                wire: id.index,
-                push: true,
-            });
-        }
-        if let Some(wk) = &self.wake {
-            let all = wk.all[wk.slot_base[T::SLOT] + id.index];
-            self.wake_now |= all & self.actor_later;
-            self.wake_next |= all & !self.actor_bit;
-            self.wake_any = true;
-            self.wake_events += 1;
-        }
         if self.san.is_some() {
             self.san_check(T::SLOT, T::LABEL, id.index, cycle, true);
         }
@@ -469,159 +409,11 @@ impl ChannelPool {
             _ => return None,
         };
         self.in_flight -= 1;
-        if self.recording {
-            self.events.push(WireEvent {
-                slot: T::SLOT,
-                wire: id.index,
-                push: false,
-            });
-        }
-        if let Some(wk) = &self.wake {
-            let flat = wk.slot_base[T::SLOT] + id.index;
-            let nonobs = wk.all[flat] & !wk.obs[flat];
-            self.wake_now |= nonobs & self.actor_later;
-            self.wake_next |= nonobs & !self.actor_later & !self.actor_bit;
-            self.wake_any = true;
-            self.wake_events += 1;
-        }
+        self.total_popped += 1;
         if self.san.is_some() {
             self.san_check(T::SLOT, T::LABEL, id.index, cycle, false);
         }
         beat
-    }
-
-    /// Moves up to `max` queued beats from `from` to `to` in one ring
-    /// sweep, as if a relay component had popped one beat and pushed it
-    /// onward on each of the cycles `start`, `start + 1`, …
-    ///
-    /// Beat `k` is popped and re-pushed at cycle `start + k`, so every
-    /// stamp, visibility window, one-push/one-pop guard, tap record, and
-    /// stats counter lands exactly where the per-cycle execution would
-    /// have put it. The sweep stops early at the first cycle where the
-    /// per-cycle relay would have stalled (front beat not yet visible, or
-    /// `to` without headroom); callers size `max` from
-    /// [`ChannelPool::relayable`] and [`ChannelPool::headroom`] so that a
-    /// well-formed batch window never stops early. Returns the number of
-    /// beats moved.
-    ///
-    /// This is the arena kernel's bulk-transfer primitive: one call
-    /// replaces `moved` component ticks on an uncontended point-to-point
-    /// path (see the batching plan in `realm-lint`).
-    pub fn batch_relay<T: Channel>(
-        &mut self,
-        from: WireId<T>,
-        to: WireId<T>,
-        start: Cycle,
-        max: u64,
-    ) -> u64 {
-        assert_ne!(from.index, to.index, "batch_relay needs two distinct wires");
-        let moved;
-        {
-            let lane = T::lane_mut(self);
-            let (lo, hi) = if from.index < to.index {
-                (from.index, to.index)
-            } else {
-                (to.index, from.index)
-            };
-            let (left, right) = lane.rings.split_at_mut(hi);
-            let (src, dst) = if from.index < to.index {
-                (&mut left[lo], &mut right[0])
-            } else {
-                (&mut right[0], &mut left[lo])
-            };
-            let mut k = 0u64;
-            while k < max {
-                let cycle = start + k;
-                let Some(slot) = src.front_candidate(cycle) else {
-                    break;
-                };
-                let visible = matches!(&lane.arena[slot], Some((pushed, _)) if *pushed < cycle);
-                if !visible || !dst.can_push(cycle) {
-                    break;
-                }
-                let (_, beat) = lane.arena[slot].take().expect("front slot occupied");
-                src.commit_pop(cycle);
-                let dst_slot = dst.try_push(cycle).expect("headroom checked");
-                lane.arena[dst_slot] = Some((cycle, beat));
-                if let Some(tap) = &mut lane.taps[to.index] {
-                    tap.push((cycle, beat));
-                }
-                k += 1;
-            }
-            moved = k;
-        }
-        if moved > 0 {
-            // One pop and one push per beat: in-flight is net zero, the
-            // lifetime counters advance by the beats moved.
-            self.total_pushed += moved;
-            self.batched_beats += moved;
-            if self.recording {
-                for _ in 0..moved {
-                    self.events.push(WireEvent {
-                        slot: T::SLOT,
-                        wire: from.index,
-                        push: false,
-                    });
-                    self.events.push(WireEvent {
-                        slot: T::SLOT,
-                        wire: to.index,
-                        push: true,
-                    });
-                }
-            }
-            if let Some(wk) = &self.wake {
-                let from_flat = wk.slot_base[T::SLOT] + from.index;
-                let to_flat = wk.slot_base[T::SLOT] + to.index;
-                let nonobs = wk.all[from_flat] & !wk.obs[from_flat];
-                let all = wk.all[to_flat];
-                self.wake_now |= (nonobs | all) & self.actor_later;
-                self.wake_next |=
-                    (all & !self.actor_bit) | (nonobs & !self.actor_later & !self.actor_bit);
-                self.wake_any = true;
-                self.wake_events += 2 * moved;
-            }
-            if self.san.is_some() {
-                // One check per side: a batch is one declared access
-                // pattern, not `moved` independent ones.
-                self.san_check(T::SLOT, T::LABEL, from.index, start, false);
-                self.san_check(T::SLOT, T::LABEL, to.index, start, true);
-            }
-        }
-        moved
-    }
-
-    /// Longest prefix of beats on `id` a relay starting at `start` could
-    /// move at one beat per cycle: beat `k` counts if it is visible at
-    /// cycle `start + k` (pushed strictly before it). Zero if the wire was
-    /// already popped at `start`.
-    pub fn relayable<T: Channel>(&self, id: WireId<T>, start: Cycle) -> u64 {
-        let lane = T::lane(self);
-        let ring = &lane.rings[id.index];
-        if ring.is_empty() || ring.front_candidate(start).is_none() {
-            return 0;
-        }
-        let mut k = 0u64;
-        while (k as usize) < ring.len() {
-            let slot = ring.nth_slot(k as u32);
-            match &lane.arena[slot] {
-                Some((pushed, _)) if *pushed < start + k => k += 1,
-                _ => break,
-            }
-        }
-        k
-    }
-
-    /// Free slots on `id` available to pushes starting at `start` (zero if
-    /// the wire already accepted a beat at `start`). A producer pushing
-    /// one beat per cycle from `start` on can sustain exactly this many
-    /// beats without feedback from its consumer — the capacity bound on a
-    /// batch window.
-    pub fn headroom<T: Channel>(&self, id: WireId<T>, start: Cycle) -> u64 {
-        let ring = &T::lane(self).rings[id.index];
-        if ring.pushed_at(start) {
-            return 0;
-        }
-        (ring.capacity() - ring.len()) as u64
     }
 
     /// Number of in-flight beats on the wire.
@@ -792,83 +584,32 @@ impl ChannelPool {
         out.append(&mut self.san_hits);
     }
 
-    /// Turns the push/pop event log on or off (event-kernel use). Turning
-    /// recording off discards any not-yet-drained events.
-    pub(crate) fn set_recording(&mut self, on: bool) {
-        self.recording = on;
-        if !on {
-            self.events.clear();
-        }
-    }
-
-    /// Moves all recorded [`WireEvent`]s into `out`, oldest first.
-    pub(crate) fn drain_events_into(&mut self, out: &mut Vec<WireEvent>) {
-        out.append(&mut self.events);
-    }
-
-    /// Arms (or disarms, with `None`) the wake-mask accumulators the arena
-    /// kernel reads instead of the event log.
-    pub(crate) fn set_wake_tables(&mut self, tables: Option<Box<WakeTables>>) {
-        self.wake = tables;
-        self.wake_now = 0;
-        self.wake_next = 0;
-        self.wake_any = false;
-        self.actor_bit = 0;
-        self.actor_later = !0;
-    }
-
-    /// `true` if wake masks are armed.
-    pub(crate) fn wake_armed(&self) -> bool {
-        self.wake.is_some()
-    }
-
-    /// Declares the schedule position of the component about to tick, so
-    /// wake accumulation can split same-cycle (later peers) from
-    /// next-cycle wakes. Position `u32::MAX` means "outside any tick":
-    /// everything wakes both now and next.
-    #[inline]
-    pub(crate) fn begin_actor(&mut self, pos: u32) {
-        if pos == u32::MAX {
-            self.actor_bit = 0;
-            self.actor_later = !0;
-        } else {
-            self.actor_bit = 1u64 << pos;
-            self.actor_later = !(self.actor_bit | (self.actor_bit - 1));
-        }
-    }
-
-    /// Drains the pending wake accumulators: `(due_now, due_next,
-    /// any_event)` since the previous call.
-    #[inline]
-    pub(crate) fn take_wakes(&mut self) -> (u64, u64, bool) {
-        let out = (self.wake_now, self.wake_next, self.wake_any);
-        self.wake_now = 0;
-        self.wake_next = 0;
-        self.wake_any = false;
-        out
-    }
-
-    /// Drains the wire-event count accumulated while wake masks were armed
-    /// (the arena kernel's `wire_events` contribution).
-    pub(crate) fn take_wake_events(&mut self) -> u64 {
-        std::mem::take(&mut self.wake_events)
-    }
-
-    /// Drains the count of beats moved by [`ChannelPool::batch_relay`].
-    pub(crate) fn take_batched_beats(&mut self) -> u64 {
-        std::mem::take(&mut self.batched_beats)
-    }
-
     /// In-flight beats on the wire addressed by `(slot, index)` — the
     /// untyped twin of [`ChannelPool::len`] for kernel bookkeeping.
     pub(crate) fn slot_len(&self, slot: usize, index: usize) -> usize {
+        self.slot_ring(slot, index).len()
+    }
+
+    /// Successful pushes plus pops since construction (O(1)): unchanged
+    /// across a cycle means the cycle moved no beat anywhere.
+    pub(crate) fn moves(&self) -> u64 {
+        self.total_pushed + self.total_popped
+    }
+
+    /// Whether the wire addressed by `(slot, index)` accepted or released
+    /// a beat at `cycle` or later.
+    pub(crate) fn slot_touched_since(&self, slot: usize, index: usize, cycle: Cycle) -> bool {
+        self.slot_ring(slot, index).touched_since(cycle)
+    }
+
+    /// The ring of the wire addressed by `(slot, index)`.
+    fn slot_ring(&self, slot: usize, index: usize) -> &Ring {
         match slot {
-            0 => self.aw.rings[index].len(),
-            1 => self.w.rings[index].len(),
-            2 => self.b.rings[index].len(),
-            3 => self.ar.rings[index].len(),
-            4 => self.r.rings[index].len(),
-            _ => 0,
+            0 => &self.aw.rings[index],
+            1 => &self.w.rings[index],
+            2 => &self.b.rings[index],
+            3 => &self.ar.rings[index],
+            _ => &self.r.rings[index],
         }
     }
 
@@ -994,84 +735,5 @@ mod tests {
         assert_ne!(a, c);
         let dbg = format!("{a:?}");
         assert!(dbg.contains("WireId"));
-    }
-
-    #[test]
-    fn batch_relay_matches_per_cycle_relay() {
-        // Drive the same five-beat stream through a relay hop twice: once
-        // beat by beat, once with one batch_relay sweep. Every stamp and
-        // counter must coincide.
-        let mk = |pool: &mut ChannelPool| {
-            let from = pool.new_wire::<WBeat>(8);
-            let to = pool.new_wire::<WBeat>(8);
-            for c in 0..5u64 {
-                pool.push(from, c, WBeat::full(c, c == 4));
-            }
-            (from, to)
-        };
-
-        let mut a = ChannelPool::new();
-        let (a_from, a_to) = mk(&mut a);
-        for c in 5..10u64 {
-            let beat = a.pop(a_from, c).unwrap();
-            a.push(a_to, c, beat);
-        }
-
-        let mut b = ChannelPool::new();
-        let (b_from, b_to) = mk(&mut b);
-        assert_eq!(b.relayable(b_from, 5), 5);
-        assert_eq!(b.headroom(b_to, 5), 8);
-        assert_eq!(b.batch_relay(b_from, b_to, 5, 5), 5);
-
-        assert_eq!(a.stats(a_to), b.stats(b_to));
-        assert_eq!(a.stats(a_from), b.stats(b_from));
-        assert_eq!(a.total_in_flight(), b.total_in_flight());
-        assert_eq!(a.total_pushes(), b.total_pushes());
-        // The moved beats carry the per-cycle stamps: beat k visible from
-        // cycle 5 + k + 1 and not a cycle earlier.
-        for k in 0..5u64 {
-            assert!(b.peek(b_to, 5 + k).is_none() || k > 0);
-        }
-        for c in 10..15u64 {
-            assert_eq!(
-                a.pop(a_to, c).map(|w| w.data),
-                b.pop(b_to, c).map(|w| w.data)
-            );
-        }
-    }
-
-    #[test]
-    fn batch_relay_respects_visibility_and_headroom() {
-        let mut pool = ChannelPool::new();
-        let from = pool.new_wire::<WBeat>(8);
-        let to = pool.new_wire::<WBeat>(2);
-        for c in 0..4u64 {
-            pool.push(from, c, WBeat::full(c, false));
-        }
-        // Beat 0 was pushed at cycle 0: nothing is visible at cycle 0, so
-        // a relay starting there moves nothing.
-        assert_eq!(pool.relayable(from, 0), 0);
-        assert_eq!(pool.batch_relay(from, to, 0, 4), 0);
-        // Destination capacity 2 bounds the sweep.
-        assert_eq!(pool.headroom(to, 4), 2);
-        assert_eq!(pool.batch_relay(from, to, 4, 4), 2);
-        assert_eq!(pool.len(to), 2);
-        assert_eq!(pool.len(from), 2);
-    }
-
-    #[test]
-    fn batch_relay_feeds_tap_with_move_stamps() {
-        let mut pool = ChannelPool::new();
-        let from = pool.new_wire::<WBeat>(8);
-        let to = pool.new_wire::<WBeat>(8);
-        pool.enable_tap(to);
-        for c in 0..3u64 {
-            pool.push(from, c, WBeat::full(10 + c, false));
-        }
-        assert_eq!(pool.batch_relay(from, to, 3, 3), 3);
-        let mut out = Vec::new();
-        pool.drain_tap(to, &mut out);
-        let cycles: Vec<Cycle> = out.iter().map(|(c, _)| *c).collect();
-        assert_eq!(cycles, [3, 4, 5]);
     }
 }

@@ -1,31 +1,32 @@
 //! The top-level simulator: owns the wires and the components.
 //!
-//! Two kernels share one observable semantics:
+//! One kernel drives [`Sim::run`], [`Sim::run_until`] and
+//! [`Sim::run_until_clamped`]: every executed cycle ticks every component
+//! once, in registration order, exactly like the reference
+//! [`Sim::step`]. On top of that it skips idle time for the whole system
+//! at once. After a *quiet* cycle — no wire push, no wire pop, and no
+//! [`Sim::couple`] write that an earlier-registered dependent still has to
+//! see — it asks every component for its [`Component::next_event`] hint
+//! (and, when the component holds input backlog, its
+//! [`Component::backlog_event`] hint) and jumps straight to the earliest
+//! one, bounded by the run target and the clamp. Elided ticks are
+//! reconciled per component through [`Component::on_fast_forward`].
 //!
-//! - [`Sim::step`] is the reference kernel: every component ticks every
-//!   cycle, in registration order.
-//! - [`Sim::run`]/[`Sim::run_until`] default to the *event kernel*: a
-//!   wake-queue (binary heap over [`Component::next_event`] hints) plus a
-//!   per-cycle dirty-set derived from wire pushes and pops, so a cycle only
-//!   visits components that have a due event or fresh input, and cycles
-//!   with no due component at all are jumped over entirely. Elided ticks
-//!   are reconciled per component through [`Component::on_fast_forward`].
-//!
-//! The two must be bit-identical in every observable: `REALM_KERNEL=step`
-//! forces the stepping kernel for differential runs, and the
-//! `kernel_equivalence` integration tests assert the equivalence on random
-//! traffic.
+//! Skipping is exact: a quiet cycle leaves every wire as it was, so each
+//! hint's "no wire activity before then" premise holds for the whole
+//! stretch, and every skipped tick is a no-op by the hint contract. The
+//! two drivers must therefore be bit-identical in every observable:
+//! `REALM_KERNEL=step` forces plain stepping for differential runs, and
+//! the `kernel_equivalence` integration tests assert the equivalence.
 
 use std::any::Any;
-use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::BTreeSet;
 use std::fmt;
 
 use realm_telemetry::TelemetrySink;
 
 use crate::pool::{
-    channel_slot, ChannelPool, RawSanViolation, SanitizerKind, SanitizerTables, WakeTables,
-    WireEvent, CHANNEL_SLOTS,
+    channel_slot, ChannelPool, RawSanViolation, SanitizerKind, SanitizerTables, CHANNEL_SLOTS,
 };
 
 use crate::component::{Component, TickCtx};
@@ -43,12 +44,11 @@ impl ComponentId {
     }
 }
 
-/// Counters describing how the kernel advanced time: real component ticks
-/// versus cycles fast-forwarded over while the system was quiescent, plus
-/// the per-component split within executed cycles.
+/// Counters describing how the kernel advanced time: executed cycles
+/// versus cycles fast-forwarded over while the system was idle.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct KernelStats {
-    /// Cycles advanced by executing at least one component tick.
+    /// Cycles advanced by ticking every component.
     pub ticks_executed: u64,
     /// Cycles jumped over because no component had a due event.
     pub cycles_skipped: u64,
@@ -56,23 +56,10 @@ pub struct KernelStats {
     pub fast_forwards: u64,
     /// Individual `Component::tick` calls across all executed cycles.
     pub component_ticks: u64,
-    /// Component-cycles elided: sleeping components during executed cycles
-    /// plus every component during skipped cycles. The invariant
+    /// Component-cycles elided by skipping. The invariant
     /// `component_ticks + component_skips == cycles_total() * n_components`
-    /// holds for a run driven by one kernel throughout.
+    /// holds for a run over a fixed set of components.
     pub component_skips: u64,
-    /// Successful wire pushes and pops the event or arena kernel
-    /// translated into wakes (0 under the stepping kernel, which needs
-    /// none). Beats moved by a batched transfer count one push and one pop
-    /// each, exactly as their per-cycle execution would have.
-    pub wire_events: u64,
-    /// Beats moved by batched transfers ([`ChannelPool::batch_relay`])
-    /// instead of per-cycle ticks. Each batched beat is still one beat
-    /// moved — `wire_events` includes them — this counter reports how many
-    /// rode a bulk window.
-    pub batched_beats: u64,
-    /// Batch windows the arena kernel executed (each covering ≥ 2 cycles).
-    pub batch_windows: u64,
 }
 
 impl KernelStats {
@@ -91,17 +78,8 @@ pub struct ComponentProfile {
     pub index: usize,
     /// Its [`Component::name`].
     pub name: String,
-    /// `tick`/`batch_tick` calls executed for this component, across all
-    /// kernels.
+    /// `tick` calls executed for this component.
     pub visits: u64,
-    /// Cycles covered by batch windows (each window is one visit covering
-    /// `window` cycles; 0 under the non-arena kernels).
-    pub batch_cycles: u64,
-    /// Wakes delivered to this component by the event kernel's bookkeeping
-    /// (wire activity, couple writes, opaque broadcasts). The stepping,
-    /// islands, and arena kernels keep no per-component wake list and
-    /// report 0.
-    pub wakes: u64,
     /// Wall-clock nanoseconds spent inside this component's ticks. Always 0
     /// unless `axi-sim` is built with the `self-profile` feature — the
     /// clock reads do not exist in a default build, keeping the simulator
@@ -113,48 +91,56 @@ pub struct ComponentProfile {
 #[derive(Clone, Copy, Default)]
 struct ProfileEntry {
     visits: u64,
-    batch_cycles: u64,
     wall_ns: u64,
 }
 
-/// Which kernel drives [`Sim::run`] and [`Sim::run_until`].
+/// Which driver [`Sim::run`] and [`Sim::run_until`] use.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum KernelMode {
-    /// Wake-queue + dirty-set event kernel (the default).
-    Event,
-    /// Reference kernel: tick every component every cycle. Selected by
-    /// `REALM_KERNEL=step` for differential runs.
+    /// Stepping plus whole-system idle skip (the default).
+    Skip,
+    /// Reference kernel: tick every component every cycle, never skip.
+    /// Selected by `REALM_KERNEL=step` for differential runs.
     Step,
-    /// Island kernel: tick every component every cycle, but walk the
-    /// statically computed dependence islands (see
-    /// [`Topology::islands`](crate::Topology::islands)) island by island
-    /// instead of the flat registration order. Islands are independent by
-    /// construction — no shared wire, couple, or declared endpoint crosses
-    /// one — so the reordering is unobservable and results stay
-    /// bit-identical to [`KernelMode::Step`]; each island could equally be
-    /// stepped by its own worker once component storage is `Send` (the
-    /// arena refactor). Selected by `REALM_KERNEL=islands`.
-    Islands,
-    /// Compiled-schedule kernel: components are pinned to *schedule
-    /// positions* (island-major registration order, at most 64), every
-    /// per-cycle set is a single `u64` mask, and wire activity reaches the
-    /// scheduler through the pool's wake-mask accumulators instead of an
-    /// event log — no heap, no per-event allocation. On top of the mask
-    /// scheduler it runs beat-batched transfers: when every due component
-    /// can stream ahead ([`Component::batch_horizon`]) and no sleeping
-    /// component wakes inside the window, queued beats move in bulk ring
-    /// copies ([`ChannelPool::batch_relay`]) instead of per-cycle virtual
-    /// ticks. Selected by `REALM_KERNEL=arena`; systems with more than 64
-    /// components fall back to the event kernel.
-    Arena,
 }
 
-fn kernel_mode_from_env() -> KernelMode {
-    match std::env::var("REALM_KERNEL").as_deref() {
-        Ok("step") | Ok("stepped") | Ok("cycle") => KernelMode::Step,
-        Ok("islands") | Ok("island") => KernelMode::Islands,
-        Ok("arena") | Ok("compiled") => KernelMode::Arena,
-        _ => KernelMode::Event,
+impl KernelMode {
+    /// The kernel `REALM_KERNEL` selects: unset means [`KernelMode::Skip`],
+    /// `step` means [`KernelMode::Step`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on any other value, so a typo or a removed kernel name never
+    /// silently runs a different kernel than the one asked for.
+    pub fn from_env() -> Self {
+        let value = std::env::var_os("REALM_KERNEL");
+        let value = value.as_ref().map(|v| v.to_str().unwrap_or("<non-UTF-8>"));
+        Self::parse(value).unwrap_or_else(|message| panic!("{message}"))
+    }
+
+    /// Parses a `REALM_KERNEL` value (`None` = unset).
+    ///
+    /// # Errors
+    ///
+    /// A message naming the rejected value and the accepted ones.
+    fn parse(value: Option<&str>) -> Result<Self, String> {
+        match value {
+            None => Ok(Self::Skip),
+            Some("step") => Ok(Self::Step),
+            Some(other) => Err(format!(
+                "REALM_KERNEL={other:?} is not a kernel: leave REALM_KERNEL unset for the \
+                 default kernel, or set REALM_KERNEL=step for the stepping reference \
+                 (the event, islands and arena kernels no longer exist)"
+            )),
+        }
+    }
+
+    /// Short name for reports: `"skip"` or `"step"`.
+    pub fn name(self) -> &'static str {
+        match self {
+            Self::Skip => "skip",
+            Self::Step => "step",
+        }
     }
 }
 
@@ -168,22 +154,22 @@ fn sanitize_from_env() -> bool {
 /// How a [`ContractViolation`] was detected.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ViolationKind {
-    /// `next_event(cycle)` returned a hint at or before a cycle the
-    /// component had already been ticked for — the hint carries no
-    /// information and the kernel fell back to re-ticking next cycle.
+    /// `next_event` or `backlog_event` returned a hint before the cycle it
+    /// was asked about — the hint carries no information, and the kernel
+    /// executes the next cycle instead of skipping.
     StaleHint,
-    /// A sleeping component's `next_event` claimed it was due at the
-    /// current cycle even though nothing had scheduled it — an earlier
-    /// hint under-reported, or the component reacted to state outside its
-    /// declared wires (missing [`Sim::couple`] or port declaration).
+    /// At the end of a skipped stretch, a component whose hint had promised
+    /// silence beyond it claimed to be due already — its hint
+    /// under-reported, or it reacts to state outside its declared wires
+    /// (missing [`Sim::couple`] or port declaration).
     MissedWake,
 }
 
 /// A detected breach of the [`Component::next_event`] contract (see
 /// [`Sim::contract_violations`]; stale hints are reported in every build,
-/// the missed-wake cross-check only in debug builds). The kernel corrects
-/// course — the offending component is woken — so results stay exact, but
-/// each record points at a hint that silently shrinks skipping.
+/// the missed-wake audit in debug builds and under the sanitizer). Results
+/// stay exact for the reported cycle, but each record points at a hint
+/// that cannot be trusted.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct ContractViolation {
     /// Registration index of the offending component.
@@ -192,7 +178,7 @@ pub struct ContractViolation {
     pub name: String,
     /// The cycle at which the violation was observed.
     pub cycle: Cycle,
-    /// The hint `next_event` returned.
+    /// The hint the component returned.
     pub hint: Cycle,
     /// What went wrong.
     pub kind: ViolationKind,
@@ -217,8 +203,7 @@ impl fmt::Display for ContractViolation {
 /// push, pop, or wake that the component's declared ports and couples do
 /// not account for. The access itself is never blocked — results stay
 /// exact — but each record is a dependence edge missing from the static
-/// graph, i.e. a component the island partition and the event kernel's
-/// wake bookkeeping may be reasoning about incorrectly.
+/// graph the lint partition and the kernel's couple handling rely on.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct SanitizerViolation {
     /// Registration index of the offending component.
@@ -252,7 +237,7 @@ impl fmt::Display for SanitizerViolation {
             SanitizerKind::UndeclaredWake => write!(
                 f,
                 "cycle {:>8}: undeclared wake of component #{} ({}): \
-                 due without any declared edge having woken it",
+                 due inside a stretch its hint promised was silent",
                 self.cycle, self.component, self.name
             ),
         }
@@ -265,178 +250,39 @@ const MAX_VIOLATIONS: usize = 64;
 /// Sentinel for "no pending wake".
 const NEVER: Cycle = Cycle::MAX;
 
-/// The event kernel's wake bookkeeping, rebuilt from component port
-/// declarations whenever the topology changes.
+/// What the skip decision needs from the components' port declarations,
+/// rebuilt whenever the topology changes.
 #[derive(Default)]
-struct Scheduler {
-    /// Flat endpoint table: wire `(slot, index)` maps through `slot_base`
-    /// to a `(start, end)` range in `endpoint_list` holding the
-    /// registration indices of its declared endpoints (drivers, consumers,
-    /// observers), deduplicated. Contiguous storage keeps the per-event
-    /// lookup to two indexed reads instead of three pointer hops.
-    endpoint_ranges: Vec<(u32, u32)>,
-    endpoint_list: Vec<u32>,
-    slot_base: [usize; CHANNEL_SLOTS],
-    /// Per component: its declared Consume wires as `(slot, wire)`.
-    consume: Vec<Vec<(usize, usize)>>,
-    /// Components that declared no ports: woken by *any* wire activity and
-    /// kept due while any beat is in flight, so undeclared topologies stay
-    /// exact at the price of not sleeping through traffic.
-    opaque: Vec<u32>,
-    is_opaque: Vec<bool>,
-    /// Per component: dependents registered via [`Sim::couple`].
-    dependents: Vec<Vec<u32>>,
-    /// Dirty-set for the cycle currently being processed.
-    due: Vec<bool>,
-    due_count: usize,
-    /// Components scheduled for the immediately following cycle — the fast
-    /// path that lets back-to-back beat streams ride cycle to cycle without
-    /// touching the heap.
-    next_flags: Vec<bool>,
-    next_list: Vec<u32>,
-    /// Earliest pending wake per component (`NEVER` = none); heap entries
-    /// not matching it are stale and discarded on pop.
-    scheduled: Vec<Cycle>,
-    heap: BinaryHeap<Reverse<(Cycle, u32)>>,
-    /// Scratch buffer for drained pool events.
-    events: Vec<WireEvent>,
-    /// Per component: wakes delivered by wire activity, couple writes, and
-    /// opaque broadcasts — the self-profiler's wake attribution (see
-    /// [`Sim::profile`]). Preserved across table rebuilds.
-    wakes: Vec<u64>,
+struct Wiring {
+    /// Per component: its declared Consume wires as `(slot, wire)`, or
+    /// `None` for a component that declared no ports (opaque), whose
+    /// backlog is any beat anywhere in the pool.
+    consume: Vec<Option<Vec<(usize, usize)>>>,
+    /// Sources of a couple whose dependent is registered before them, in
+    /// registration order: the dependent has already ticked when the
+    /// source writes, so it sees the write one cycle later.
+    backward_sources: Vec<usize>,
+    /// Per component: every wire it declares as `(slot, wire)` (empty for
+    /// an opaque component).
+    source_wires: Vec<Vec<(usize, usize)>>,
+    /// Per component: whether it is the dependent of any couple.
+    dependent: Vec<bool>,
     /// `(components, wires, couples)` the tables were built for.
-    signature: (usize, usize, usize),
-}
-
-impl Scheduler {
-    fn mark_due(&mut self, j: usize) {
-        if !self.due[j] {
-            self.due[j] = true;
-            self.due_count += 1;
-        }
-    }
-
-    /// Records a wake at `at` (strictly after the cycle being processed).
-    fn schedule(&mut self, j: usize, at: Cycle, current: Cycle) {
-        if at >= self.scheduled[j] {
-            return;
-        }
-        self.scheduled[j] = at;
-        if at == current + 1 {
-            if !self.next_flags[j] {
-                self.next_flags[j] = true;
-                self.next_list.push(j as u32);
-            }
-        } else {
-            self.heap.push(Reverse((at, j as u32)));
-        }
-    }
-
-    /// Translates one wire event caused by `actor`'s tick at `cycle` into
-    /// wakes for peer `j`.
-    #[inline]
-    fn wake_peer(&mut self, j: usize, actor: usize, push: bool, cycle: Cycle) {
-        if j == actor {
-            return;
-        }
-        self.wakes[j] += 1;
-        if push {
-            // New beat: visible next cycle; peers ticking after the pusher
-            // also look this cycle (tap monitors drain on the push cycle).
-            if j > actor {
-                self.mark_due(j);
-            }
-            self.schedule(j, cycle + 1, cycle);
-        } else if j > actor {
-            // Freed capacity / new front beat: usable this cycle by later
-            // peers, next cycle by earlier ones.
-            self.mark_due(j);
-        } else {
-            self.schedule(j, cycle + 1, cycle);
-        }
-    }
-
-    /// Wakes every declared endpoint of the event's wire. Indexed access
-    /// (rather than moving the list out) keeps the per-event cost to the
-    /// wakes themselves — this runs for every push and pop in the system.
-    fn wake_endpoints(&mut self, event: WireEvent, actor: usize, cycle: Cycle) {
-        let (start, end) = self.endpoint_ranges[self.slot_base[event.slot] + event.wire];
-        for k in start..end {
-            let j = self.endpoint_list[k as usize] as usize;
-            self.wake_peer(j, actor, event.push, cycle);
-        }
-    }
-
-    /// Wakes every opaque component after an event-bearing tick: any wire
-    /// activity may matter to a component with undeclared topology. One
-    /// combined wake per tick (due now for later peers, next cycle always)
-    /// over-approximates the per-event push/pop rules — extra ticks are
-    /// always exact — and avoids walking the list once per event.
-    fn wake_opaque(&mut self, actor: usize, cycle: Cycle) {
-        for k in 0..self.opaque.len() {
-            let j = self.opaque[k] as usize;
-            if j == actor {
-                continue;
-            }
-            self.wakes[j] += 1;
-            if j > actor {
-                self.mark_due(j);
-            }
-            self.schedule(j, cycle + 1, cycle);
-        }
-    }
-}
-
-/// The arena kernel's compiled schedule and mask scheduler. Components are
-/// addressed by *schedule position* — island-major registration order, at
-/// most 64 — so every per-cycle set (due now, due next, opaque) is one
-/// `u64` and translating wire activity into wakes is a couple of ORs
-/// against the pool's accumulators instead of a walk over an event log.
-#[derive(Default)]
-struct ArenaSched {
-    /// `order[pos]` = registration index of the component ticked at
-    /// schedule position `pos`.
-    order: Vec<u32>,
-    /// Positions of opaque (port-less) components: woken by any
-    /// event-bearing tick, exactly like the event kernel's opaque list.
-    opaque_mask: u64,
-    /// Per position: declared Consume wires as `(slot, wire)`.
-    consume: Vec<Vec<(usize, usize)>>,
-    /// Per position: coupled dependents, as schedule positions.
-    dependents: Vec<Vec<u32>>,
-    /// Per position: non-observer endpoints of every wire the component
-    /// drives or consumes (its own bit included). A batch window requires
-    /// every such peer to be due — batched activity on the shared wire
-    /// would otherwise have to wake a sleeping peer mid-window.
-    peers: Vec<u64>,
-    /// Positions due at the cycle being processed.
-    due: u64,
-    /// Positions due at the immediately following cycle (the fast path
-    /// back-to-back beat streams ride without touching `wake_at`).
-    due_next: u64,
-    /// Per position: earliest pending far wake (`>= cycle + 2`; `NEVER` =
-    /// none). Only the component's own hints land here — wire wakes always
-    /// go through the masks.
-    wake_at: Vec<Cycle>,
-    /// Lower bound on `min(wake_at)`; may be stale after a discarded wake
-    /// and is re-derived exactly on every merge scan.
-    wake_min: Cycle,
-    /// `(components, wires, couples)` the schedule was compiled for.
     signature: (usize, usize, usize),
 }
 
 /// A cycle-accurate simulator: a [`ChannelPool`] plus an ordered list of
 /// components.
 ///
-/// [`Sim::run`] and [`Sim::run_until`] are driven by a discrete-event
-/// kernel: a wake-queue keyed on [`Component::next_event`] hints plus a
-/// dirty-set fed by wire pushes/pops decides, per cycle, which components
-/// tick at all; cycles with an empty dirty-set are jumped over entirely.
-/// Skipping is exact — elided ticks are provable no-ops under the
-/// `next_event` contract, and components reconcile time-proportional
-/// counters in [`Component::on_fast_forward`] — so an event-driven run
-/// finishes in the same state, at the same cycle, as an explicitly stepped
-/// one; only wall-clock changes. [`Sim::kernel_stats`] reports the split.
+/// Every executed cycle ticks every component in registration order. The
+/// run methods additionally jump over idle stretches: after a quiet cycle
+/// (no push, no pop, no pending coupled write) the whole system skips to
+/// the earliest [`Component::next_event`] / [`Component::backlog_event`]
+/// hint. Skipping is exact — elided ticks are provable no-ops under the
+/// hint contract, and components reconcile time-proportional counters in
+/// [`Component::on_fast_forward`] — so a run finishes in the same state,
+/// at the same cycle, as an explicitly stepped one; only wall-clock
+/// changes. [`Sim::kernel_stats`] reports the split.
 ///
 /// # Example
 ///
@@ -461,66 +307,59 @@ pub struct Sim {
     mode: KernelMode,
     /// First cycle each component has *not* yet accounted for, via tick or
     /// `on_fast_forward`. Invariant between advances: `synced_to[i] <=
-    /// cycle + 1`, equal to `cycle + 1` right after component `i` ticks.
+    /// cycle`, equal to `cycle` right after an executed cycle.
     synced_to: Vec<Cycle>,
     /// `(source, dependent)` pairs from [`Sim::couple`], in declaration
     /// order; `couple_set` is the membership index keeping `couple` O(log n).
     couples: Vec<(usize, usize)>,
     couple_set: BTreeSet<(usize, usize)>,
-    sched: Scheduler,
+    wiring: Wiring,
+    /// Component whose hint blocked the last skip attempt. The next attempt
+    /// asks it first: in a stretch with no wire traffic but a busy
+    /// component it is usually still due, which makes the failed attempt
+    /// one hint call instead of `n`.
+    blocker: usize,
+    /// Per component: the hint that bounded the last jump, kept for the
+    /// missed-wake audit at the jump's landing cycle.
+    hints: Vec<Cycle>,
     violations: Vec<ContractViolation>,
     violations_dropped: u64,
     /// Access sanitizer (`REALM_SANITIZE=1`): when on, pool taps check
     /// every in-tick push/pop against the declared ports and the missed-
-    /// wake poll runs in every build.
+    /// wake audit runs in every build.
     sanitize: bool,
     /// `(components, wires)` the pool's sanitizer tables were built for.
     san_signature: Option<(usize, usize)>,
     san_violations: Vec<SanitizerViolation>,
     san_violations_dropped: u64,
     san_scratch: Vec<RawSanViolation>,
-    /// Island partition for [`KernelMode::Islands`] plus the
-    /// `(components, wires, couples)` signature it was computed for.
-    islands: Vec<Vec<usize>>,
-    islands_signature: Option<(usize, usize, usize)>,
-    /// Compiled schedule + mask scheduler for [`KernelMode::Arena`].
-    arena: ArenaSched,
-    /// Per registration index: whether the batching plan allows this
-    /// component to stream through batch windows (see
-    /// [`Sim::set_batch_plan`]). Empty = no plan = no batching.
-    batch_allowed: Vec<bool>,
     /// Self-profiler counters, one entry per component (see
     /// [`Sim::profile`]). Counter maintenance is a single indexed add per
     /// visit; wall-time exists only under the `self-profile` feature.
     profile: Vec<ProfileEntry>,
-    /// Bounded log of executed batch windows `(start, length)` for the
-    /// Perfetto exporter. Armed by `REALM_TRACE` at construction (or
-    /// [`Sim::set_batch_window_log`]); `None` costs nothing per window.
-    batch_window_log: Option<Vec<(Cycle, u64)>>,
 }
-
-/// Retained batch-window log entries (diagnostic bound, like
-/// [`MAX_VIOLATIONS`] — a trace needs the shape, not every window).
-const MAX_WINDOW_LOG: usize = 4096;
-
-use realm_telemetry::trace_from_env;
 
 impl Sim {
     /// Creates an empty simulator at cycle 0. The kernel honours the
-    /// `REALM_KERNEL` environment variable (`step` forces cycle stepping,
-    /// `islands` the island-ordered stepper); `REALM_SANITIZE=1` arms the
-    /// access sanitizer.
+    /// `REALM_KERNEL` environment variable (see [`KernelMode::from_env`]);
+    /// `REALM_SANITIZE=1` arms the access sanitizer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `REALM_KERNEL` is set to anything but `step`.
     pub fn new() -> Self {
         Self {
             pool: ChannelPool::new(),
             components: Vec::new(),
             cycle: 0,
             stats: KernelStats::default(),
-            mode: kernel_mode_from_env(),
+            mode: KernelMode::from_env(),
             synced_to: Vec::new(),
             couples: Vec::new(),
             couple_set: BTreeSet::new(),
-            sched: Scheduler::default(),
+            wiring: Wiring::default(),
+            blocker: 0,
+            hints: Vec::new(),
             violations: Vec::new(),
             violations_dropped: 0,
             sanitize: sanitize_from_env(),
@@ -528,12 +367,7 @@ impl Sim {
             san_violations: Vec::new(),
             san_violations_dropped: 0,
             san_scratch: Vec::new(),
-            islands: Vec::new(),
-            islands_signature: None,
-            arena: ArenaSched::default(),
-            batch_allowed: Vec::new(),
             profile: Vec::new(),
-            batch_window_log: trace_from_env().then(Vec::new),
         }
     }
 
@@ -557,16 +391,17 @@ impl Sim {
 
     /// Declares that `source`'s tick may mutate state that `dependent`
     /// reads outside any wire (shared registers, `Rc<RefCell<…>>`
-    /// couplings). The event kernel then keeps the pair exact: before
-    /// `source` ticks, `dependent`'s elided ticks are reconciled, and after
-    /// `source` ticks, `dependent` is woken — mirroring what cycle stepping
-    /// does implicitly. Wire-only interactions need no coupling.
+    /// couplings). Every executed cycle ticks both, so a dependent
+    /// registered after its source sees a write the same cycle; one
+    /// registered before it sees the write the next cycle, and the kernel
+    /// executes that cycle instead of skipping it whenever the source's
+    /// tick may have written. Wire-only interactions need no coupling.
     pub fn couple(&mut self, source: ComponentId, dependent: ComponentId) {
         assert!(source.0 < self.components.len(), "unknown source");
         assert!(dependent.0 < self.components.len(), "unknown dependent");
-        // `couples` keeps declaration order (the kernel's wake tables are
-        // order-sensitive); the set makes the duplicate check O(log n)
-        // instead of a linear scan per call.
+        // `couples` keeps declaration order (the topology snapshot reports
+        // it); the set makes the duplicate check O(log n) instead of a
+        // linear scan per call.
         if source != dependent && self.couple_set.insert((source.0, dependent.0)) {
             self.couples.push((source.0, dependent.0));
         }
@@ -628,7 +463,7 @@ impl Sim {
     /// Arms or disarms the access sanitizer (the default comes from
     /// `REALM_SANITIZE`). While armed, every in-tick wire push/pop is
     /// checked against the component's declared ports, and the missed-wake
-    /// poll runs in release builds too; accesses are never blocked, so
+    /// audit runs in release builds too; accesses are never blocked, so
     /// results are bit-identical with the sanitizer on or off.
     pub fn set_sanitize(&mut self, on: bool) {
         self.sanitize = on;
@@ -642,7 +477,7 @@ impl Sim {
     /// see [`Sim::sanitizer_violations_dropped`]). Always empty while the
     /// sanitizer is off. A system whose declarations match its behaviour
     /// keeps this empty — that is the runtime proof behind the static
-    /// island partition.
+    /// dependence graph.
     pub fn sanitizer_violations(&self) -> &[SanitizerViolation] {
         &self.san_violations
     }
@@ -662,8 +497,8 @@ impl Sim {
 
     /// The system's island partition: connected components of the
     /// undirected dependence graph (shared wires + couples), each a group
-    /// that can be stepped independently of the others. Convenience
-    /// wrapper over [`Topology::islands`](crate::Topology::islands).
+    /// that can never observe the others. Convenience wrapper over
+    /// [`Topology::islands`](crate::Topology::islands).
     pub fn partition(&self) -> Vec<Vec<usize>> {
         self.topology().islands()
     }
@@ -692,9 +527,8 @@ impl Sim {
     /// Harvests the run's telemetry: every component's
     /// [`Component::telemetry`](crate::Component::telemetry) export, plus
     /// the kernel's own signals — `kernel.*` counters from
-    /// [`KernelStats`], instant events for every retained contract and
-    /// sanitizer violation, and batch-window spans when the window log is
-    /// armed (`REALM_TRACE` / [`Sim::set_batch_window_log`]).
+    /// [`KernelStats`] and instant events for every retained contract and
+    /// sanitizer violation.
     ///
     /// Pull-based and side-effect free, like [`Sim::coverage`]: collecting
     /// telemetry cannot perturb the simulation, so results are
@@ -702,10 +536,9 @@ impl Sim {
     ///
     /// Component counters and histograms are kernel-invariant (component
     /// state is bit-identical across kernels by construction). The
-    /// `kernel.*` counters, violation instants, and batch-window spans
-    /// describe *how* the run was executed and differ across kernels —
-    /// exporters writing kernel-comparable artifacts (`results/*.json`)
-    /// must draw only on the component side.
+    /// `kernel.*` counters describe *how* the run was executed and differ
+    /// between skipping and stepping — exporters writing kernel-comparable
+    /// artifacts (`results/*.json`) must draw only on the component side.
     pub fn telemetry(&self) -> TelemetrySink {
         let mut sink = TelemetrySink::new();
         for component in &self.components {
@@ -717,9 +550,6 @@ impl Sim {
         sink.counter("kernel.fast_forwards", s.fast_forwards);
         sink.counter("kernel.component_ticks", s.component_ticks);
         sink.counter("kernel.component_skips", s.component_skips);
-        sink.counter("kernel.wire_events", s.wire_events);
-        sink.counter("kernel.batched_beats", s.batched_beats);
-        sink.counter("kernel.batch_windows", s.batch_windows);
         sink.counter(
             "kernel.contract_violations",
             self.violations.len() as u64 + self.violations_dropped,
@@ -751,33 +581,19 @@ impl Sim {
             };
             sink.instant("kernel", &format!("sanitizer:{kind}:{}", v.name), v.cycle);
         }
-        if let Some(log) = &self.batch_window_log {
-            for &(start, window) in log {
-                sink.span("kernel", "batch-window", start, start + window);
-            }
-        }
         sink
     }
 
-    /// Arms or disarms the batch-window log feeding
-    /// [`Sim::telemetry`]'s `batch-window` spans (the default comes from
-    /// `REALM_TRACE`). Purely observational — the log never influences
-    /// window formation — and bounded, so leaving it armed is safe.
-    pub fn set_batch_window_log(&mut self, on: bool) {
-        self.batch_window_log = on.then(Vec::new);
-    }
-
-    /// The kernel self-profiler's per-component attribution: visits
-    /// (tick/batch_tick calls), batch-covered cycles, delivered wakes, and
-    /// — only when built with the `self-profile` feature — wall-time.
+    /// The kernel self-profiler's per-component attribution: visits (tick
+    /// calls) and — only when built with the `self-profile` feature —
+    /// wall-time.
     ///
-    /// Visit/wake/batch counters are always maintained (one indexed add on
-    /// the paths that already do bookkeeping); the clock reads attributing
-    /// wall-time are compiled out without the feature, so a default build
-    /// contains no wall-clock reads at all. Profiles are *kernel-dependent*
-    /// by nature (which visits execute is exactly what distinguishes the
-    /// kernels) and belong in wall-clock artifacts like
-    /// `BENCH_kernel.json`, never in kernel-compared `results/*.json`.
+    /// Visit counters are always maintained (one indexed add per tick); the
+    /// clock reads attributing wall-time are compiled out without the
+    /// feature, so a default build contains no wall-clock reads at all.
+    /// Profiles are *kernel-dependent* by nature (skipping elides visits)
+    /// and belong in wall-clock artifacts like `BENCH_kernel.json`, never
+    /// in kernel-compared `results/*.json`.
     pub fn profile(&self) -> Vec<ComponentProfile> {
         self.components
             .iter()
@@ -786,59 +602,34 @@ impl Sim {
                 index: i,
                 name: component.name().to_owned(),
                 visits: self.profile[i].visits,
-                batch_cycles: self.profile[i].batch_cycles,
-                wakes: self.sched.wakes.get(i).copied().unwrap_or(0),
                 wall_ns: self.profile[i].wall_ns,
             })
             .collect()
     }
 
     /// Advances the simulation by one cycle, ticking every component once
-    /// (the reference kernel). Interleaves exactly with event-driven runs:
+    /// (the reference kernel). Interleaves exactly with skipping runs:
     /// components a previous run left fast-forwarded are reconciled here.
     pub fn step(&mut self) {
         self.ensure_sanitizer();
+        self.tick_range(0, self.components.len());
+        self.finish_cycle();
+    }
+
+    /// Ticks components `from..to`, in registration order, at the current
+    /// cycle. Kept out of line so that [`Sim::step`] and the skipping
+    /// kernel share one copy of the hot loop.
+    #[inline(never)]
+    fn tick_range(&mut self, from: usize, to: usize) {
         let cycle = self.cycle;
-        for index in 0..self.components.len() {
+        for index in from..to {
             self.tick_component(index, cycle);
         }
-        self.pool.set_owner(None);
-        self.cycle += 1;
-        self.stats.ticks_executed += 1;
-        self.stats.component_ticks += self.components.len() as u64;
-        self.drain_sanitizer();
     }
 
-    /// Advances one cycle under the island kernel: every component ticks,
-    /// but the walk goes island by island (each island's members in
-    /// registration order) instead of flat registration order. Because no
-    /// wire, couple, or declared endpoint crosses an island boundary, the
-    /// islands cannot observe each other's intra-cycle ordering and the
-    /// result is bit-identical to [`Sim::step`] — the runtime cash-in of
-    /// the static dependence analysis (CI-gated on all experiments).
-    fn step_islands(&mut self) {
-        self.ensure_islands();
-        self.ensure_sanitizer();
-        let cycle = self.cycle;
-        let islands = std::mem::take(&mut self.islands);
-        for island in &islands {
-            for &index in island {
-                self.tick_component(index, cycle);
-            }
-        }
-        self.islands = islands;
-        self.pool.set_owner(None);
-        self.cycle += 1;
-        self.stats.ticks_executed += 1;
-        self.stats.component_ticks += self.components.len() as u64;
-        self.drain_sanitizer();
-    }
-
-    /// Reconciles and ticks one component at `cycle` (stepping kernels).
+    /// Reconciles and ticks one component at `cycle`.
     fn tick_component(&mut self, index: usize, cycle: Cycle) {
-        if self.synced_to[index] < cycle {
-            self.components[index].on_fast_forward(self.synced_to[index], cycle);
-        }
+        self.flush_component(index, cycle);
         self.synced_to[index] = cycle + 1;
         self.pool.set_owner(Some(index));
         let mut ctx = TickCtx {
@@ -855,17 +646,14 @@ impl Sim {
         }
     }
 
-    /// Recomputes the island partition if the topology changed.
-    fn ensure_islands(&mut self) {
-        let signature = (
-            self.components.len(),
-            self.pool.wire_count(),
-            self.couples.len(),
-        );
-        if self.islands_signature != Some(signature) {
-            self.islands = self.topology().islands();
-            self.islands_signature = Some(signature);
-        }
+    /// Closes an executed cycle: clears the tick owner, advances the clock
+    /// and the counters, and resolves sanitizer hits.
+    fn finish_cycle(&mut self) {
+        self.pool.set_owner(None);
+        self.cycle += 1;
+        self.stats.ticks_executed += 1;
+        self.stats.component_ticks += self.components.len() as u64;
+        self.drain_sanitizer();
     }
 
     /// Rebuilds the pool's sanitizer tables if the sanitizer is armed and
@@ -964,7 +752,7 @@ impl Sim {
     /// `true` if the predicate fired.
     ///
     /// The predicate sees the simulator between advances, so it can inspect
-    /// components and wires. Quiescent stretches are fast-forwarded, so the
+    /// components and wires. Idle stretches are fast-forwarded, so the
     /// predicate is evaluated per executed cycle or jump, not per skipped
     /// cycle — component state cannot change inside a skipped stretch, so
     /// no predicate flank is missed, though a predicate watching
@@ -977,7 +765,7 @@ impl Sim {
     /// Like [`Sim::run_until`], but fast-forward jumps never cross the
     /// absolute cycle `boundary`: a jump that would overshoot lands exactly
     /// on it, so a predicate watching [`Sim::cycle`] observes the boundary
-    /// even when the system is quiescent there.
+    /// even when the system is idle there.
     pub fn run_until_clamped<F: FnMut(&Sim) -> bool>(
         &mut self,
         max_cycles: u64,
@@ -995,35 +783,21 @@ impl Sim {
         clamp: Option<Cycle>,
     ) -> bool {
         let target = self.cycle + max_cycles;
-        // Arena needs one mask bit per component; larger systems fall back
-        // to the event kernel, which shares its observable semantics.
-        let arena = self.mode == KernelMode::Arena && self.components.len() <= 64;
-        if matches!(self.mode, KernelMode::Step | KernelMode::Islands) {
-            while self.cycle < target {
-                if let Some(done) = done.as_mut() {
-                    if done(self) {
-                        return true;
-                    }
-                }
-                match self.mode {
-                    KernelMode::Islands => self.step_islands(),
-                    _ => self.step(),
-                }
-            }
-            return match done {
-                Some(done) => done(self),
-                None => false,
-            };
+        let skip = self.mode == KernelMode::Skip;
+        if skip {
+            self.ensure_wiring();
         }
-        if arena {
-            return self.drive_arena(target, done, clamp);
-        }
-
-        self.prepare_run();
-        let n = self.components.len() as u64;
+        self.ensure_sanitizer();
+        // The first cycle of a run is never quiet when beats are in flight
+        // (a beat pushed from outside any run becomes visible one cycle in)
+        // or when a coupled dependent may still have to see a write: the
+        // state before the run is not known to be settled.
+        let mut settled =
+            self.pool.total_in_flight() == 0 && self.wiring.backward_sources.is_empty();
+        let mut quiet = false;
         loop {
             if let Some(done) = done.as_mut() {
-                // Reconcile elided ticks so the predicate observes exactly
+                // Reconcile skipped ticks so the predicate observes exactly
                 // the state a stepped run would show at this cycle.
                 self.flush_all(self.cycle);
                 if done(self) {
@@ -1033,26 +807,27 @@ impl Sim {
             if self.cycle >= target {
                 break;
             }
-            self.pop_due();
-            if self.sched.due_count > 0 {
-                self.process_cycle();
+            if !skip {
+                self.step();
                 continue;
             }
-            // Nothing due at the current cycle: jump to the earliest
-            // pending wake, bounded by the run target and the clamp.
-            let next = match self.sched.heap.peek() {
-                Some(&Reverse((at, _))) => at.min(target),
-                None => target,
-            };
-            let jump = match clamp {
-                Some(boundary) if boundary > self.cycle => next.min(boundary),
-                _ => next,
-            };
-            debug_assert!(jump > self.cycle, "jump must make progress");
-            self.stats.cycles_skipped += jump - self.cycle;
-            self.stats.component_skips += (jump - self.cycle) * n;
-            self.stats.fast_forwards += 1;
-            self.cycle = jump;
+            if std::mem::take(&mut quiet) {
+                // The predicate has seen the cycle after the quiet one;
+                // now jump to the earliest hint, bounded by the run target
+                // and the clamp.
+                let mut jump = self.next_wake().min(target);
+                if let Some(boundary) = clamp {
+                    if boundary > self.cycle {
+                        jump = jump.min(boundary);
+                    }
+                }
+                if jump > self.cycle {
+                    self.skip_to(jump);
+                    continue;
+                }
+            }
+            quiet = self.execute_cycle(settled);
+            settled = true;
         }
         self.flush_all(self.cycle);
         match done {
@@ -1061,136 +836,199 @@ impl Sim {
         }
     }
 
-    /// Rebuilds wake tables if the topology changed, clears all pending
-    /// wakes, and marks every component due at the current cycle. Starting
-    /// a run from the all-due state re-synchronises any state mutated from
-    /// outside (direct `component_mut` access, pool pushes between runs)
-    /// exactly as the stepping kernel would see it.
-    fn prepare_run(&mut self) {
-        self.ensure_sanitizer();
-        // A previous arena run may have left wake masks armed; the event
-        // kernel derives wakes from the event log instead.
-        if self.pool.wake_armed() {
-            self.pool.set_wake_tables(None);
-        }
-        let signature = (
-            self.components.len(),
-            self.pool.wire_count(),
-            self.couples.len(),
-        );
-        if self.sched.signature != signature {
-            self.rebuild_scheduler();
-            self.sched.signature = signature;
-        }
-        self.sched.heap.clear();
-        self.sched.next_list.clear();
-        for f in &mut self.sched.next_flags {
-            *f = false;
-        }
-        for s in &mut self.sched.scheduled {
-            *s = NEVER;
-        }
-        self.sched.due_count = 0;
-        for j in 0..self.components.len() {
-            self.sched.due[j] = false;
-            self.sched.mark_due(j);
-        }
-        // Beats pushed from outside any run (no wake recording) become
-        // visible one cycle in: give every component a look at both of the
-        // first two cycles, then let the hints take over.
-        if self.pool.total_in_flight() > 0 {
-            for j in 0..self.components.len() {
-                self.sched.schedule(j, self.cycle + 1, self.cycle);
+    /// Executes one cycle, ticking every component in registration order,
+    /// and reports whether it was quiet: no wire moved a beat, and no
+    /// backward couple source may have written shared state its dependent
+    /// has yet to see. `settled` is `false` for a run's first cycle, which
+    /// is never quiet.
+    ///
+    /// Each backward source is checked right before it ticks, and only
+    /// while the cycle has moved no beat: then it sees exactly the state it
+    /// had when the cycle began. Once a beat has moved the cycle cannot be
+    /// quiet, so a busy cycle costs one counter compare per backward source.
+    fn execute_cycle(&mut self, settled: bool) -> bool {
+        let start = self.pool.moves();
+        let mut quiet = settled;
+        let mut from = 0;
+        for k in 0..self.wiring.backward_sources.len() {
+            let source = self.wiring.backward_sources[k];
+            self.tick_range(from, source);
+            from = source;
+            if quiet && (self.pool.moves() != start || self.source_due(source, self.cycle)) {
+                quiet = false;
             }
         }
-        self.pool.set_recording(false);
+        self.tick_range(from, self.components.len());
+        self.finish_cycle();
+        quiet && self.pool.moves() == start
     }
 
-    fn rebuild_scheduler(&mut self) {
-        let n = self.components.len();
-        let counts = self.pool.wire_counts();
-        let mut slot_base = [0usize; CHANNEL_SLOTS];
-        let mut total_wires = 0;
-        for (slot, &wires) in counts.iter().enumerate() {
-            slot_base[slot] = total_wires;
-            total_wires += wires;
+    /// Whether the couple source `s` may write shared state when it ticks
+    /// at `cycle` (asked right before that tick, with no beat moved yet).
+    /// Under the hint contract its tick changes nothing, shared state
+    /// included, unless its own hint says it is due, it holds input backlog
+    /// it may take now, or one of its wires moved a beat last cycle. Opaque
+    /// sources and sources that are themselves coupled dependents (they may
+    /// pass on a write they just saw) count as always due.
+    fn source_due(&self, s: usize, cycle: Cycle) -> bool {
+        let wires = &self.wiring.source_wires[s];
+        if wires.is_empty() || self.wiring.dependent[s] {
+            return true;
         }
-        let mut endpoints: Vec<Vec<u32>> = vec![Vec::new(); total_wires];
-        let mut consume = vec![Vec::new(); n];
-        let mut opaque = Vec::new();
-        let mut is_opaque = vec![false; n];
-        for (i, component) in self.components.iter().enumerate() {
-            let ports = component.ports();
-            if ports.is_empty() {
-                opaque.push(i as u32);
-                is_opaque[i] = true;
-                continue;
+        let since = cycle.saturating_sub(1);
+        if wires
+            .iter()
+            .any(|&(slot, wire)| self.pool.slot_touched_since(slot, wire, since))
+        {
+            return true;
+        }
+        let component = &self.components[s];
+        if component.next_event(cycle).is_some_and(|h| h <= cycle) {
+            return true;
+        }
+        self.has_backlog(s) && component.backlog_event(cycle).is_some_and(|h| h <= cycle)
+    }
+
+    /// Whether component `i` has beats queued on a wire it consumes (any
+    /// wire at all for an opaque component).
+    fn has_backlog(&self, i: usize) -> bool {
+        match &self.wiring.consume[i] {
+            None => self.pool.total_in_flight() > 0,
+            Some(wires) => wires
+                .iter()
+                .any(|&(slot, wire)| self.pool.slot_len(slot, wire) > 0),
+        }
+    }
+
+    /// Component `i`'s wake hint at the current cycle: its `next_event`,
+    /// lowered by its `backlog_event` while it holds input backlog. A hint
+    /// before the current cycle is recorded as a stale-hint violation and
+    /// treated as due now.
+    fn hint(&mut self, i: usize) -> Cycle {
+        let now = self.cycle;
+        let mut at = self.checked(i, self.components[i].next_event(now));
+        if at > now && self.has_backlog(i) {
+            at = at.min(self.checked(i, self.components[i].backlog_event(now)));
+        }
+        at
+    }
+
+    fn checked(&mut self, i: usize, hint: Option<Cycle>) -> Cycle {
+        match hint {
+            None => NEVER,
+            Some(h) if h < self.cycle => {
+                self.record_violation(i, self.cycle - 1, h, ViolationKind::StaleHint);
+                self.cycle
             }
-            for port in ports {
+            Some(h) => h,
+        }
+    }
+
+    /// The earliest cycle `>= self.cycle` at which any component may have
+    /// work, from every component's hint. Returns `self.cycle` as soon as
+    /// one component is due now, starting with the one that was due at the
+    /// last attempt.
+    fn next_wake(&mut self) -> Cycle {
+        let n = self.components.len();
+        let now = self.cycle;
+        if self.blocker >= n {
+            self.blocker = 0;
+        }
+        let mut earliest = NEVER;
+        for k in 0..n {
+            let i = (self.blocker + k) % n;
+            let hint = self.hint(i);
+            if hint <= now {
+                self.blocker = i;
+                return now;
+            }
+            self.hints[i] = hint;
+            earliest = earliest.min(hint);
+        }
+        earliest
+    }
+
+    /// Jumps the whole system from the current cycle to `to`. With the
+    /// audit armed (debug builds, or the sanitizer), checks at the landing
+    /// cycle that the stretch really was silent: a component whose hint
+    /// promised silence past `to` must not claim to be due at `to`.
+    fn skip_to(&mut self, to: Cycle) {
+        let skipped = to - self.cycle;
+        self.stats.cycles_skipped += skipped;
+        self.stats.component_skips += skipped * self.components.len() as u64;
+        self.stats.fast_forwards += 1;
+        self.cycle = to;
+        if cfg!(debug_assertions) || self.sanitize {
+            for i in 0..self.components.len() {
+                if self.hints[i] <= to {
+                    continue;
+                }
+                if let Some(hint) = self.components[i].next_event(to) {
+                    if hint <= to {
+                        self.record_violation(i, to, hint, ViolationKind::MissedWake);
+                        if self.sanitize {
+                            self.record_san_violation(RawSanViolation {
+                                component: i,
+                                cycle: to,
+                                channel: "-",
+                                wire: 0,
+                                kind: SanitizerKind::UndeclaredWake,
+                            });
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Rebuilds the [`Wiring`] tables if the topology changed.
+    fn ensure_wiring(&mut self) {
+        let n = self.components.len();
+        let signature = (n, self.pool.wire_count(), self.couples.len());
+        if self.wiring.signature == signature && self.hints.len() == n {
+            return;
+        }
+        let counts = self.pool.wire_counts();
+        let mut consume = Vec::with_capacity(n);
+        let mut declared = Vec::with_capacity(n);
+        for component in &self.components {
+            let ports = component.ports();
+            let mut all = Vec::new();
+            let mut inputs = Vec::new();
+            for port in &ports {
                 let Some(slot) = channel_slot(port.channel) else {
                     continue;
                 };
                 if port.wire >= counts[slot] {
                     continue; // dangling declaration; realm-lint reports it
                 }
-                let peers = &mut endpoints[slot_base[slot] + port.wire];
-                if !peers.contains(&(i as u32)) {
-                    peers.push(i as u32);
+                let key = (slot, port.wire);
+                if !all.contains(&key) {
+                    all.push(key);
                 }
-                if port.dir == PortDir::Consume {
-                    let key = (slot, port.wire);
-                    if !consume[i].contains(&key) {
-                        consume[i].push(key);
-                    }
+                if port.dir == PortDir::Consume && !inputs.contains(&key) {
+                    inputs.push(key);
                 }
             }
+            consume.push((!ports.is_empty()).then_some(inputs));
+            declared.push(all);
         }
-        let mut endpoint_ranges = Vec::with_capacity(total_wires);
-        let mut endpoint_list = Vec::new();
-        for peers in &endpoints {
-            let start = endpoint_list.len() as u32;
-            endpoint_list.extend_from_slice(peers);
-            endpoint_ranges.push((start, endpoint_list.len() as u32));
-        }
-        let mut dependents = vec![Vec::new(); n];
-        for &(source, dependent) in &self.couples {
-            let dep = dependent as u32;
-            if !dependents[source].contains(&dep) {
-                dependents[source].push(dep);
+        let mut backward_sources = BTreeSet::new();
+        let mut dependent = vec![false; n];
+        for &(source, dep) in &self.couples {
+            dependent[dep] = true;
+            if dep < source {
+                backward_sources.insert(source);
             }
         }
-        self.sched.endpoint_ranges = endpoint_ranges;
-        self.sched.endpoint_list = endpoint_list;
-        self.sched.slot_base = slot_base;
-        self.sched.consume = consume;
-        self.sched.opaque = opaque;
-        self.sched.is_opaque = is_opaque;
-        self.sched.dependents = dependents;
-        self.sched.due = vec![false; n];
-        self.sched.due_count = 0;
-        self.sched.next_flags = vec![false; n];
-        self.sched.next_list.clear();
-        self.sched.scheduled = vec![NEVER; n];
-        self.sched.heap.clear();
-        // Wake attribution survives rebuilds: a rebuild only means the
-        // topology grew, not that a new run started.
-        self.sched.wakes.resize(n, 0);
-    }
-
-    /// Moves heap wakes that have come due at the current cycle into the
-    /// dirty-set.
-    fn pop_due(&mut self) {
-        while let Some(&Reverse((at, j))) = self.sched.heap.peek() {
-            if at > self.cycle {
-                break;
-            }
-            self.sched.heap.pop();
-            let j = j as usize;
-            debug_assert!(at == self.cycle, "wake left behind in the heap");
-            if self.sched.scheduled[j] == at {
-                self.sched.mark_due(j);
-            }
-        }
+        self.wiring = Wiring {
+            consume,
+            backward_sources: backward_sources.into_iter().collect(),
+            source_wires: declared,
+            dependent,
+            signature,
+        };
+        self.hints = vec![NEVER; n];
     }
 
     /// Reconciles component `index` up to (excluding) `to`.
@@ -1227,674 +1065,6 @@ impl Sim {
         } else {
             self.violations_dropped += 1;
         }
-    }
-
-    /// Safety net (debug builds always; release builds with the sanitizer
-    /// armed): a sleeping component whose `next_event` claims it is due
-    /// right now was missed by the wake bookkeeping — an under-reporting
-    /// hint or an undeclared dependency. Record it and wake the component
-    /// so results stay exact anyway. With the sanitizer armed the miss is
-    /// additionally a [`SanitizerKind::UndeclaredWake`]: the component
-    /// reacted to state no declared wire or couple edge carries.
-    fn poll_missed_wakes(&mut self) {
-        let cycle = self.cycle;
-        for i in 0..self.components.len() {
-            if self.sched.due[i] {
-                continue;
-            }
-            if let Some(hint) = self.components[i].next_event(cycle) {
-                if hint <= cycle {
-                    self.record_violation(i, cycle, hint, ViolationKind::MissedWake);
-                    if self.sanitize {
-                        self.record_san_violation(RawSanViolation {
-                            component: i,
-                            cycle,
-                            channel: "-",
-                            wire: 0,
-                            kind: SanitizerKind::UndeclaredWake,
-                        });
-                    }
-                    self.sched.mark_due(i);
-                }
-            }
-        }
-    }
-
-    /// Executes one cycle: ticks exactly the due components in registration
-    /// order, turns their wire activity into wakes, and re-arms their
-    /// `next_event` hints.
-    fn process_cycle(&mut self) {
-        if cfg!(debug_assertions) || self.sanitize {
-            self.poll_missed_wakes();
-        }
-
-        let cycle = self.cycle;
-        let n = self.components.len();
-        let mut ticked: u64 = 0;
-        self.pool.set_recording(true);
-        let mut i = 0;
-        while i < n {
-            if !self.sched.due[i] {
-                i += 1;
-                continue;
-            }
-            self.sched.due[i] = false;
-            self.sched.due_count -= 1;
-
-            // Shared-state couplings: reconcile each dependent before this
-            // tick reads or writes the shared state. A dependent earlier in
-            // tick order has had its turn this cycle, so its tick at
-            // `cycle` is elided under the pre-write state.
-            for k in 0..self.sched.dependents[i].len() {
-                let d = self.sched.dependents[i][k] as usize;
-                let to = if d < i { cycle + 1 } else { cycle };
-                self.flush_component(d, to);
-            }
-
-            self.flush_component(i, cycle);
-            self.synced_to[i] = cycle + 1;
-            self.sched.scheduled[i] = if self.sched.next_flags[i] {
-                cycle + 1
-            } else {
-                NEVER
-            };
-
-            self.pool.set_owner(Some(i));
-            let mut ctx = TickCtx {
-                cycle,
-                pool: &mut self.pool,
-            };
-            self.profile[i].visits += 1;
-            #[cfg(feature = "self-profile")]
-            let t0 = std::time::Instant::now(); // lint:allow(wall-clock) -- self-profiler, feature-gated
-            self.components[i].tick(&mut ctx);
-            #[cfg(feature = "self-profile")]
-            {
-                self.profile[i].wall_ns += t0.elapsed().as_nanos() as u64;
-            }
-            ticked += 1;
-
-            // Wire activity → wakes. A push is visible to peers from the
-            // next cycle (register per hop); peers later in tick order also
-            // get a same-cycle look so tap-draining monitors match the
-            // stepping kernel beat for beat. A pop frees capacity usable by
-            // peers from the next cycle, or this cycle for later peers.
-            self.pool.drain_events_into(&mut self.sched.events);
-            let n_events = self.sched.events.len();
-            if n_events > 0 {
-                self.stats.wire_events += n_events as u64;
-                for k in 0..n_events {
-                    let event = self.sched.events[k];
-                    self.sched.wake_endpoints(event, i, cycle);
-                }
-                self.sched.wake_opaque(i, cycle);
-                self.sched.events.clear();
-            }
-
-            // Coupled dependents observe the write next cycle, or this
-            // cycle if they tick after the writer — exactly as stepping.
-            for k in 0..self.sched.dependents[i].len() {
-                let d = self.sched.dependents[i][k] as usize;
-                self.sched.wakes[d] += 1;
-                if d > i {
-                    self.sched.mark_due(d);
-                } else {
-                    self.sched.schedule(d, cycle + 1, cycle);
-                }
-            }
-
-            // Re-arm the component's own wake hint — unless a wire wake has
-            // already booked it for the next cycle, in which case no hint
-            // (necessarily `>= cycle + 1`) could add anything and the
-            // virtual call is skipped outright. Saturated pipelines take
-            // this shortcut for most ticks.
-            if self.sched.scheduled[i] != cycle + 1 {
-                match self.components[i].next_event(cycle + 1) {
-                    None => {}
-                    Some(hint) if hint <= cycle => {
-                        self.record_violation(i, cycle, hint, ViolationKind::StaleHint);
-                        self.sched.schedule(i, cycle + 1, cycle);
-                    }
-                    Some(hint) => self.sched.schedule(i, hint, cycle),
-                }
-            }
-
-            // A consumer may pop at most one beat per wire per cycle (and
-            // may decline): while any of its input wires holds beats, the
-            // component decides via `backlog_event` when the next pop could
-            // happen (the default: right away). Opaque components get the
-            // conservative whole-pool version of the same rule. Skipped
-            // outright when the component is already booked for the next
-            // cycle — the strongest answer backlog could produce.
-            if self.sched.scheduled[i] != cycle + 1 {
-                let backlog = if self.sched.is_opaque[i] {
-                    self.pool.total_in_flight() > 0
-                } else {
-                    self.sched.consume[i]
-                        .iter()
-                        .any(|&(slot, wire)| self.pool.slot_len(slot, wire) > 0)
-                };
-                if backlog {
-                    match self.components[i].backlog_event(cycle + 1) {
-                        None => {}
-                        Some(hint) if hint <= cycle => {
-                            self.record_violation(i, cycle, hint, ViolationKind::StaleHint);
-                            self.sched.schedule(i, cycle + 1, cycle);
-                        }
-                        Some(hint) => self.sched.schedule(i, hint, cycle),
-                    }
-                }
-            }
-
-            i += 1;
-        }
-        self.pool.set_owner(None);
-        self.pool.set_recording(false);
-        self.drain_sanitizer();
-        debug_assert_eq!(self.sched.due_count, 0, "due component not visited");
-
-        self.cycle = cycle + 1;
-        self.stats.ticks_executed += 1;
-        self.stats.component_ticks += ticked;
-        self.stats.component_skips += n as u64 - ticked;
-
-        // Roll the next-cycle fast path into the dirty-set.
-        let next_list = std::mem::take(&mut self.sched.next_list);
-        for &j in &next_list {
-            let j = j as usize;
-            self.sched.next_flags[j] = false;
-            self.sched.mark_due(j);
-        }
-        let mut next_list = next_list;
-        next_list.clear();
-        self.sched.next_list = next_list;
-    }
-
-    /// Installs the batching plan: `allowed[i]` says whether the component
-    /// registered at index `i` may stream through batch windows (see
-    /// [`Component::batch_horizon`]). The plan comes from static analysis —
-    /// `realm-lint` marks a component batchable only when every wire it
-    /// drives or consumes is an uncontended point-to-point path — so the
-    /// kernel never has to second-guess a horizon's wire footprint. An
-    /// empty plan (the default) disables batching entirely.
-    pub fn set_batch_plan(&mut self, allowed: Vec<bool>) {
-        self.batch_allowed = allowed;
-    }
-
-    /// The installed batching plan (empty = batching off).
-    pub fn batch_plan(&self) -> &[bool] {
-        &self.batch_allowed
-    }
-
-    /// The arena-kernel driver behind [`Sim::drive`]: mask scheduler plus
-    /// batch windows. Bit-identical to the event and stepping kernels in
-    /// every observable.
-    fn drive_arena<F: FnMut(&Sim) -> bool>(
-        &mut self,
-        target: Cycle,
-        mut done: Option<&mut F>,
-        clamp: Option<Cycle>,
-    ) -> bool {
-        self.prepare_arena_run();
-        let n = self.components.len() as u64;
-        loop {
-            if let Some(done) = done.as_mut() {
-                self.flush_all(self.cycle);
-                if done(self) {
-                    return true;
-                }
-            }
-            if self.cycle >= target {
-                break;
-            }
-            if self.arena.wake_min <= self.cycle {
-                self.merge_far_wakes();
-            }
-            if self.arena.due != 0 {
-                // Windows only in predicate-free runs: `run_until` checks
-                // its predicate before every processed cycle, and a window
-                // advancing several cycles at once could overshoot the
-                // exact stop cycle a stepped run would report.
-                if done.is_none() && !self.batch_allowed.is_empty() {
-                    if let Some(window) = self.batch_window(target, clamp) {
-                        self.run_batch_window(window);
-                        continue;
-                    }
-                }
-                self.process_cycle_arena();
-                continue;
-            }
-            // Nothing due: jump to the earliest pending far wake, bounded
-            // by the run target and the clamp.
-            let next = self.arena.wake_min.min(target);
-            let jump = match clamp {
-                Some(boundary) if boundary > self.cycle => next.min(boundary),
-                _ => next,
-            };
-            debug_assert!(jump > self.cycle, "jump must make progress");
-            self.stats.cycles_skipped += jump - self.cycle;
-            self.stats.component_skips += (jump - self.cycle) * n;
-            self.stats.fast_forwards += 1;
-            self.cycle = jump;
-        }
-        self.flush_all(self.cycle);
-        match done {
-            Some(done) => done(self),
-            None => false,
-        }
-    }
-
-    /// Recompiles the schedule if the topology changed, arms the pool's
-    /// wake masks, and marks every component due — the same all-due
-    /// re-synchronisation the event kernel performs at run start.
-    fn prepare_arena_run(&mut self) {
-        self.ensure_sanitizer();
-        let signature = (
-            self.components.len(),
-            self.pool.wire_count(),
-            self.couples.len(),
-        );
-        if self.arena.signature != signature || !self.pool.wake_armed() {
-            self.rebuild_arena();
-            self.arena.signature = signature;
-        }
-        let n = self.components.len();
-        let all = if n >= 64 { !0u64 } else { (1u64 << n) - 1 };
-        self.arena.due = all;
-        // Beats pushed from outside any run become visible one cycle in:
-        // give every component a look at both of the first two cycles.
-        self.arena.due_next = if self.pool.total_in_flight() > 0 {
-            all
-        } else {
-            0
-        };
-        for at in &mut self.arena.wake_at {
-            *at = NEVER;
-        }
-        self.arena.wake_min = NEVER;
-        self.pool.set_recording(false);
-        self.pool.begin_actor(u32::MAX);
-        // Wake accumulation from pushes between runs carries no information
-        // beyond the all-due start; drop it along with its event count.
-        let _ = self.pool.take_wakes();
-        let _ = self.pool.take_wake_events();
-    }
-
-    /// Compiles the island-major schedule and the per-wire wake masks.
-    fn rebuild_arena(&mut self) {
-        let n = self.components.len();
-        assert!(n <= 64, "arena kernel supports at most 64 components");
-        // Island-major order: each island's members in registration order —
-        // the islands kernel's walk, whose reordering is unobservable.
-        let islands = self.topology().islands();
-        let mut order: Vec<u32> = Vec::with_capacity(n);
-        for island in &islands {
-            order.extend(island.iter().map(|&i| i as u32));
-        }
-        debug_assert_eq!(order.len(), n, "partition must cover every component");
-        let mut pos_of = vec![0u32; n];
-        for (pos, &i) in order.iter().enumerate() {
-            pos_of[i as usize] = pos as u32;
-        }
-
-        let counts = self.pool.wire_counts();
-        let mut slot_base = [0usize; CHANNEL_SLOTS];
-        let mut total_wires = 0;
-        for (slot, &wires) in counts.iter().enumerate() {
-            slot_base[slot] = total_wires;
-            total_wires += wires;
-        }
-        let mut all = vec![0u64; total_wires];
-        let mut active = vec![0u64; total_wires]; // drive/consume endpoints
-        let mut opaque_mask = 0u64;
-        let mut consume = vec![Vec::new(); n];
-        let mut touched = vec![Vec::new(); n]; // non-observe flats per position
-        for (i, component) in self.components.iter().enumerate() {
-            let pos = pos_of[i] as usize;
-            let bit = 1u64 << pos;
-            let ports = component.ports();
-            if ports.is_empty() {
-                opaque_mask |= bit;
-                continue;
-            }
-            for port in ports {
-                let Some(slot) = channel_slot(port.channel) else {
-                    continue;
-                };
-                if port.wire >= counts[slot] {
-                    continue; // dangling declaration; realm-lint reports it
-                }
-                let flat = slot_base[slot] + port.wire;
-                all[flat] |= bit;
-                match port.dir {
-                    PortDir::Drive => {
-                        active[flat] |= bit;
-                        touched[pos].push(flat);
-                    }
-                    PortDir::Consume => {
-                        active[flat] |= bit;
-                        touched[pos].push(flat);
-                        let key = (slot, port.wire);
-                        if !consume[pos].contains(&key) {
-                            consume[pos].push(key);
-                        }
-                    }
-                    PortDir::Observe => {}
-                }
-            }
-        }
-        // Observe-only endpoints: excluded from pop wakes (their ticks only
-        // drain taps, which fill on pushes) and deferrable across batch
-        // windows (tap records carry their own cycle stamps).
-        let obs: Vec<u64> = all.iter().zip(&active).map(|(a, act)| a & !act).collect();
-        let peers: Vec<u64> = touched
-            .iter()
-            .map(|flats| flats.iter().fold(0u64, |acc, &f| acc | active[f]))
-            .collect();
-        let mut dependents = vec![Vec::new(); n];
-        for &(source, dependent) in &self.couples {
-            let (sp, dp) = (pos_of[source] as usize, pos_of[dependent]);
-            if !dependents[sp].contains(&dp) {
-                dependents[sp].push(dp);
-            }
-        }
-        self.arena.order = order;
-        self.arena.opaque_mask = opaque_mask;
-        self.arena.consume = consume;
-        self.arena.dependents = dependents;
-        self.arena.peers = peers;
-        self.arena.wake_at = vec![NEVER; n];
-        self.arena.wake_min = NEVER;
-        self.pool.set_wake_tables(Some(Box::new(WakeTables {
-            slot_base,
-            all,
-            obs,
-        })));
-    }
-
-    /// Pulls far wakes that have come due into the due mask and re-derives
-    /// the exact minimum (the stored one may be a stale lower bound).
-    fn merge_far_wakes(&mut self) {
-        let cycle = self.cycle;
-        let mut min = NEVER;
-        for (pos, at) in self.arena.wake_at.iter_mut().enumerate() {
-            if *at <= cycle {
-                self.arena.due |= 1u64 << pos;
-                *at = NEVER;
-            } else if *at < min {
-                min = *at;
-            }
-        }
-        self.arena.wake_min = min;
-    }
-
-    /// Books a wake for the component at schedule position `pos`.
-    fn arena_schedule(&mut self, pos: usize, bit: u64, at: Cycle, current: Cycle) {
-        if at == current + 1 {
-            self.arena.due_next |= bit;
-        } else if at < self.arena.wake_at[pos] {
-            self.arena.wake_at[pos] = at;
-            if at < self.arena.wake_min {
-                self.arena.wake_min = at;
-            }
-        }
-    }
-
-    /// The arena twin of [`Sim::poll_missed_wakes`], over the due mask.
-    fn poll_missed_wakes_arena(&mut self) {
-        let cycle = self.cycle;
-        for pos in 0..self.components.len() {
-            if self.arena.due & (1u64 << pos) != 0 {
-                continue;
-            }
-            let i = self.arena.order[pos] as usize;
-            if let Some(hint) = self.components[i].next_event(cycle) {
-                if hint <= cycle {
-                    self.record_violation(i, cycle, hint, ViolationKind::MissedWake);
-                    if self.sanitize {
-                        self.record_san_violation(RawSanViolation {
-                            component: i,
-                            cycle,
-                            channel: "-",
-                            wire: 0,
-                            kind: SanitizerKind::UndeclaredWake,
-                        });
-                    }
-                    self.arena.due |= 1u64 << pos;
-                }
-            }
-        }
-    }
-
-    /// Executes one cycle under the mask scheduler: exactly the event
-    /// kernel's wake semantics, with every set a `u64` and wire activity
-    /// read from the pool's accumulators.
-    fn process_cycle_arena(&mut self) {
-        if cfg!(debug_assertions) || self.sanitize {
-            self.poll_missed_wakes_arena();
-        }
-        let cycle = self.cycle;
-        let n = self.components.len();
-        let mut due = std::mem::take(&mut self.arena.due);
-        let mut ticked: u64 = 0;
-        while due != 0 {
-            let pos = due.trailing_zeros() as usize;
-            due &= due - 1;
-            let bit = 1u64 << pos;
-            let i = self.arena.order[pos] as usize;
-
-            // Shared-state couplings: reconcile each dependent before this
-            // tick reads or writes the shared state (see process_cycle).
-            for k in 0..self.arena.dependents[pos].len() {
-                let dp = self.arena.dependents[pos][k] as usize;
-                let d = self.arena.order[dp] as usize;
-                let to = if dp < pos { cycle + 1 } else { cycle };
-                self.flush_component(d, to);
-            }
-
-            self.flush_component(i, cycle);
-            self.synced_to[i] = cycle + 1;
-            // Any pending far wake is superseded by the re-arm below; the
-            // stored minimum may go stale-low, which the merge scan fixes.
-            self.arena.wake_at[pos] = NEVER;
-            self.pool.set_owner(Some(i));
-            self.pool.begin_actor(pos as u32);
-            let mut ctx = TickCtx {
-                cycle,
-                pool: &mut self.pool,
-            };
-            self.profile[i].visits += 1;
-            #[cfg(feature = "self-profile")]
-            let t0 = std::time::Instant::now(); // lint:allow(wall-clock) -- self-profiler, feature-gated
-            self.components[i].tick(&mut ctx);
-            #[cfg(feature = "self-profile")]
-            {
-                self.profile[i].wall_ns += t0.elapsed().as_nanos() as u64;
-            }
-            ticked += 1;
-
-            // Wire activity → wakes, accumulated by the pool as masks.
-            let (now, next, any) = self.pool.take_wakes();
-            due |= now;
-            self.arena.due_next |= next;
-            if any && self.arena.opaque_mask != 0 {
-                // Opaque components: due now for later positions, next
-                // cycle always — the event kernel's combined opaque wake.
-                due |= self.arena.opaque_mask & !(bit | (bit - 1));
-                self.arena.due_next |= self.arena.opaque_mask & !bit;
-            }
-
-            // Coupled dependents observe the write next cycle, or this
-            // cycle if they tick after the writer.
-            for k in 0..self.arena.dependents[pos].len() {
-                let dp = self.arena.dependents[pos][k];
-                if (dp as usize) > pos {
-                    due |= 1u64 << dp;
-                } else {
-                    self.arena.due_next |= 1u64 << dp;
-                }
-            }
-
-            // Re-arm the wake hint unless already booked for next cycle.
-            if self.arena.due_next & bit == 0 {
-                match self.components[i].next_event(cycle + 1) {
-                    None => {}
-                    Some(hint) if hint <= cycle => {
-                        self.record_violation(i, cycle, hint, ViolationKind::StaleHint);
-                        self.arena.due_next |= bit;
-                    }
-                    Some(hint) => self.arena_schedule(pos, bit, hint, cycle),
-                }
-            }
-            // Parked backlog on Consume wires keeps the consumer live.
-            if self.arena.due_next & bit == 0 {
-                let backlog = if self.arena.opaque_mask & bit != 0 {
-                    self.pool.total_in_flight() > 0
-                } else {
-                    self.arena.consume[pos]
-                        .iter()
-                        .any(|&(slot, wire)| self.pool.slot_len(slot, wire) > 0)
-                };
-                if backlog {
-                    match self.components[i].backlog_event(cycle + 1) {
-                        None => {}
-                        Some(hint) if hint <= cycle => {
-                            self.record_violation(i, cycle, hint, ViolationKind::StaleHint);
-                            self.arena.due_next |= bit;
-                        }
-                        Some(hint) => self.arena_schedule(pos, bit, hint, cycle),
-                    }
-                }
-            }
-        }
-        self.pool.set_owner(None);
-        self.stats.wire_events += self.pool.take_wake_events();
-        self.drain_sanitizer();
-
-        self.cycle = cycle + 1;
-        self.stats.ticks_executed += 1;
-        self.stats.component_ticks += ticked;
-        self.stats.component_skips += n as u64 - ticked;
-        self.arena.due = std::mem::take(&mut self.arena.due_next);
-    }
-
-    /// Decides whether a batch window can start at the current cycle and
-    /// how long it may run. `Some(w)` (with `w >= 2`) requires:
-    ///
-    /// - every due component is plan-approved and reports a batch horizon
-    ///   covering `w` cycles;
-    /// - every non-observer peer on any wire a due component touches is
-    ///   itself due (a sleeping drive/consume peer would be woken mid-
-    ///   window by the batched activity — per-cycle execution must handle
-    ///   that, so the window is refused);
-    /// - every opaque component is due (any event wakes them);
-    /// - no due component has coupled dependents (shared-state writes are
-    ///   per-cycle by definition);
-    /// - no sleeping component's far wake, the run target, or the clamp
-    ///   boundary lands inside the window.
-    fn batch_window(&mut self, target: Cycle, clamp: Option<Cycle>) -> Option<u64> {
-        let cycle = self.cycle;
-        let due = self.arena.due;
-        // Pending next-cycle dues (the all-due second look after a run
-        // start with beats in flight) must be honoured per cycle — a
-        // window would jump straight past them.
-        if self.arena.due_next != 0 {
-            return None;
-        }
-        if self.arena.opaque_mask & !due != 0 {
-            return None;
-        }
-        let mut bound = self.arena.wake_min.min(target);
-        if let Some(boundary) = clamp {
-            if boundary > cycle {
-                bound = bound.min(boundary);
-            }
-        }
-        if bound < cycle + 2 {
-            return None;
-        }
-        let mut window = bound - cycle;
-        let mut m = due;
-        while m != 0 {
-            let pos = m.trailing_zeros() as usize;
-            m &= m - 1;
-            let i = self.arena.order[pos] as usize;
-            if !self.batch_allowed.get(i).copied().unwrap_or(false)
-                || !self.arena.dependents[pos].is_empty()
-                || self.arena.peers[pos] & !due != 0
-            {
-                return None;
-            }
-            let horizon = self.components[i].batch_horizon(cycle, &self.pool);
-            if horizon < 2 {
-                return None;
-            }
-            window = window.min(horizon);
-            if window < 2 {
-                return None;
-            }
-        }
-        Some(window)
-    }
-
-    /// Executes one batch window of `window` cycles: every due component's
-    /// [`Component::batch_tick`] covers the whole span, component-major.
-    /// Horizons are capacity-bounded (a producer never outruns the free
-    /// slots it saw at window start, a consumer never outruns the beats
-    /// already queued), so component-major execution is beat-for-beat
-    /// identical to the cycle-major interleaving.
-    fn run_batch_window(&mut self, window: u64) {
-        let cycle = self.cycle;
-        let n = self.components.len() as u64;
-        let due = std::mem::take(&mut self.arena.due);
-        let mut m = due;
-        let mut ticked: u64 = 0;
-        while m != 0 {
-            let pos = m.trailing_zeros() as usize;
-            m &= m - 1;
-            let i = self.arena.order[pos] as usize;
-            self.flush_component(i, cycle);
-            self.synced_to[i] = cycle + window;
-            self.arena.wake_at[pos] = NEVER;
-            self.pool.set_owner(Some(i));
-            self.pool.begin_actor(pos as u32);
-            let mut ctx = TickCtx {
-                cycle,
-                pool: &mut self.pool,
-            };
-            self.profile[i].visits += 1;
-            self.profile[i].batch_cycles += window;
-            #[cfg(feature = "self-profile")]
-            let t0 = std::time::Instant::now(); // lint:allow(wall-clock) -- self-profiler, feature-gated
-            self.components[i].batch_tick(&mut ctx, window);
-            #[cfg(feature = "self-profile")]
-            {
-                self.profile[i].wall_ns += t0.elapsed().as_nanos() as u64;
-            }
-            ticked += 1;
-        }
-        self.pool.set_owner(None);
-        // Post-window wakes are conservative: every participant plus every
-        // position the window's wire activity touched is due at the first
-        // cycle after the window. Extra ticks mirror the stepping kernel.
-        let (now, next, any) = self.pool.take_wakes();
-        self.arena.due = due | now | next;
-        if any {
-            self.arena.due |= self.arena.opaque_mask;
-        }
-        self.stats.wire_events += self.pool.take_wake_events();
-        self.stats.batched_beats += self.pool.take_batched_beats();
-        self.stats.batch_windows += 1;
-        if let Some(log) = &mut self.batch_window_log {
-            if log.len() < MAX_WINDOW_LOG {
-                log.push((cycle, window));
-            }
-        }
-        self.drain_sanitizer();
-        self.cycle = cycle + window;
-        self.stats.ticks_executed += window;
-        self.stats.component_ticks += ticked * window;
-        self.stats.component_skips += (n - ticked) * window;
     }
 }
 
@@ -1941,6 +1111,9 @@ mod tests {
         fn ports(&self) -> Vec<PortDecl> {
             vec![PortDecl::new("W", self.out.index(), PortDir::Drive)]
         }
+        fn next_event(&self, cycle: Cycle) -> Option<Cycle> {
+            (self.sent < self.limit).then_some(cycle)
+        }
     }
 
     struct Consumer {
@@ -1959,6 +1132,9 @@ mod tests {
         }
         fn ports(&self) -> Vec<PortDecl> {
             vec![PortDecl::new("W", self.input.index(), PortDir::Consume)]
+        }
+        fn next_event(&self, _cycle: Cycle) -> Option<Cycle> {
+            None
         }
     }
 
@@ -2040,7 +1216,7 @@ mod tests {
         assert!(s.contains("components: 2"));
     }
 
-    /// Step-kernel and event-kernel accounting both cover every cycle.
+    /// Skipping and stepping accounting both cover every cycle.
     #[test]
     fn component_tick_accounting_is_exhaustive() {
         let (mut sim, ..) = build();
@@ -2059,7 +1235,7 @@ mod tests {
         assert_eq!(s.component_skips, 0);
     }
 
-    /// Mixed driving — explicit steps between event-driven runs — stays
+    /// Mixed driving — explicit steps between skipping runs — stays
     /// consistent: state and cycle match an all-stepped twin.
     #[test]
     fn step_and_run_interleave() {
@@ -2091,8 +1267,8 @@ mod tests {
         }
         let mut sim = Sim::new();
         sim.add(Sleeper);
-        // Nothing ever happens: the event kernel jumps straight to the
-        // target, so a `cycle == 500` predicate never observes 500…
+        // Nothing ever happens: the kernel jumps straight to the target,
+        // so a `cycle == 500` predicate never observes 500…
         assert!(!sim.run_until(1_000, |s| s.cycle() == 500));
         assert_eq!(sim.cycle(), 1_000);
         // …while the clamped variant lands on the boundary exactly.
@@ -2104,9 +1280,8 @@ mod tests {
         assert!(stats.cycles_skipped >= 499, "boundary reached by jumping");
     }
 
-    /// A component whose `next_event` under-reports (returns a stale hint)
-    /// is detected in debug builds and corrected, not silently degraded.
-    #[cfg(debug_assertions)]
+    /// A component whose `next_event` returns a stale hint is reported,
+    /// and the kernel keeps ticking it instead of skipping.
     #[test]
     fn stale_hint_is_reported_and_corrected() {
         struct StaleHinter {
@@ -2137,7 +1312,8 @@ mod tests {
     }
 
     /// Coupled shared state (an `Rc<RefCell<…>>` side channel) stays exact
-    /// under the event kernel when declared via `Sim::couple`.
+    /// under skipping when declared via `Sim::couple`, whichever of the
+    /// two is registered first.
     #[test]
     fn coupled_shared_state_matches_stepping() {
         use std::cell::RefCell;
@@ -2146,18 +1322,27 @@ mod tests {
         type Shared = Rc<RefCell<u64>>;
 
         /// Writes to shared state at one fixed cycle, then sleeps forever.
+        /// Its hint drops as soon as the write is done, so only a check
+        /// made before that tick sees it due. It declares an (idle) output
+        /// wire, so the kernel judges it by its hint, not as opaque.
         struct Writer {
             shared: Shared,
+            out: WireId<WBeat>,
             at: Cycle,
+            done: bool,
         }
         impl Component for Writer {
             fn tick(&mut self, ctx: &mut TickCtx<'_>) {
                 if ctx.cycle == self.at {
                     *self.shared.borrow_mut() = ctx.cycle;
+                    self.done = true;
                 }
             }
-            fn next_event(&self, cycle: Cycle) -> Option<Cycle> {
-                (cycle <= self.at).then_some(self.at)
+            fn ports(&self) -> Vec<PortDecl> {
+                vec![PortDecl::new("W", self.out.index(), PortDir::Drive)]
+            }
+            fn next_event(&self, _cycle: Cycle) -> Option<Cycle> {
+                (!self.done).then_some(self.at)
             }
         }
 
@@ -2175,35 +1360,48 @@ mod tests {
             }
         }
 
-        let run = |mode: KernelMode| {
+        let run = |mode: KernelMode, reader_first: bool| {
             let shared: Shared = Rc::new(RefCell::new(0));
             let mut sim = Sim::new();
             sim.set_kernel_mode(mode);
-            let writer = sim.add(Writer {
-                shared: Rc::clone(&shared),
-                at: 400,
-            });
-            let reader = sim.add(Reader {
+            let reader = Reader {
                 shared: Rc::clone(&shared),
                 samples: Vec::new(),
-            });
+            };
+            let writer = Writer {
+                shared: Rc::clone(&shared),
+                out: sim.pool_mut().new_wire::<WBeat>(1),
+                at: 400,
+                done: false,
+            };
+            let (writer, reader) = if reader_first {
+                let reader = sim.add(reader);
+                (sim.add(writer), reader)
+            } else {
+                (sim.add(writer), sim.add(reader))
+            };
             sim.couple(writer, reader);
             sim.run(1_000);
             let reader = sim.component::<Reader>(reader).unwrap();
-            // Drop cycle-0 samples (run-start tick-all); keep the rest.
-            reader
-                .samples
-                .iter()
-                .filter(|(c, _)| *c > 0)
-                .cloned()
-                .collect::<Vec<_>>()
+            // Keep the first sample of each distinct value: when the
+            // reader first saw the write.
+            let mut firsts: Vec<(Cycle, u64)> = Vec::new();
+            for &(c, v) in &reader.samples {
+                if firsts.last().is_none_or(|&(_, last)| last != v) {
+                    firsts.push((c, v));
+                }
+            }
+            firsts
         };
-        let fast = run(KernelMode::Event);
-        // The reader saw the write: it was woken at the writer's cycle.
-        assert!(
-            fast.iter().any(|&(c, v)| c == 400 && v == 400),
-            "coupled reader must observe the write at its cycle: {fast:?}"
-        );
+        // Writer first: the reader ticks after the write the same cycle.
+        let fast = run(KernelMode::Skip, false);
+        assert_eq!(fast, run(KernelMode::Step, false));
+        assert_eq!(fast, [(0, 0), (400, 400)]);
+        // Reader first: it sees the write one cycle later, and the kernel
+        // must execute that cycle although nothing moved on a wire.
+        let fast = run(KernelMode::Skip, true);
+        assert_eq!(fast, run(KernelMode::Step, true));
+        assert_eq!(fast, [(0, 0), (401, 400)]);
     }
 
     struct Nop;
@@ -2342,30 +1540,23 @@ mod tests {
             .any(|i| i.track == "kernel" && i.name.contains("stale-hint:always-stale")));
     }
 
-    /// The self-profiler attributes visits per component under every
-    /// kernel, and the event kernel additionally attributes wakes.
+    /// The self-profiler attributes visits per component: every executed
+    /// cycle wakes every component once, so each component's visits equal
+    /// the executed cycles, and skipped cycles wake none.
     #[test]
     fn profiler_attributes_visits_and_wakes() {
-        let mut sim = Sim::new();
-        let wire = sim.pool_mut().new_wire::<WBeat>(2);
-        sim.add(Producer {
-            out: wire,
-            sent: 0,
-            limit: 5,
-        });
-        sim.add(Consumer {
-            input: wire,
-            received: Vec::new(),
-        });
+        let (mut sim, ..) = build();
         sim.run(50);
         let profile = sim.profile();
+        let stats = sim.kernel_stats();
         assert_eq!(profile.len(), 2);
-        assert!(profile[0].visits >= 5, "producer visits: {profile:?}");
-        assert!(profile[1].visits >= 5, "consumer visits: {profile:?}");
         assert!(
-            profile[1].wakes > 0,
-            "consumer must be woken by pushes: {profile:?}"
+            stats.cycles_skipped > 0,
+            "the idle tail is skipped: {stats:?}"
         );
+        for p in &profile {
+            assert_eq!(p.visits, stats.ticks_executed, "{profile:?}");
+        }
         assert_eq!(profile[0].name, sim.component_name(0).unwrap());
         // Without the self-profile feature no wall-time is attributed.
         #[cfg(not(feature = "self-profile"))]
@@ -2422,65 +1613,6 @@ mod tests {
     fn independent_pairs_form_two_islands() {
         let (sim, ..) = build_pairs();
         assert_eq!(sim.partition(), vec![vec![0, 1], vec![2, 3]]);
-    }
-
-    /// The island kernel's island-major walk is unobservable: results are
-    /// bit-identical to flat stepping and to the event kernel, including
-    /// when registration order interleaves the islands (so the walk really
-    /// does reorder ticks across island boundaries).
-    #[test]
-    fn islands_kernel_matches_stepping() {
-        let observe = |mode: KernelMode| {
-            let (mut sim, ca, cb) = build_pairs();
-            sim.set_kernel_mode(mode);
-            sim.run(25);
-            (
-                sim.cycle(),
-                sim.component::<Consumer>(ca).unwrap().received.clone(),
-                sim.component::<Consumer>(cb).unwrap().received.clone(),
-            )
-        };
-        assert_eq!(observe(KernelMode::Islands), observe(KernelMode::Step));
-        assert_eq!(observe(KernelMode::Islands), observe(KernelMode::Event));
-
-        // Interleaved registration: islands {0,2} and {1,3}, so the island
-        // walk ticks 0,2 then 1,3 — a genuine reorder vs. flat stepping.
-        let observe_interleaved = |mode: KernelMode| {
-            let mut sim = Sim::new();
-            let wa = sim.pool_mut().new_wire::<WBeat>(2);
-            let wb = sim.pool_mut().new_wire::<WBeat>(2);
-            sim.add(Producer {
-                out: wa,
-                sent: 0,
-                limit: 5,
-            });
-            sim.add(Producer {
-                out: wb,
-                sent: 0,
-                limit: 7,
-            });
-            let ca = sim.add(Consumer {
-                input: wa,
-                received: Vec::new(),
-            });
-            let cb = sim.add(Consumer {
-                input: wb,
-                received: Vec::new(),
-            });
-            if mode == KernelMode::Islands {
-                assert_eq!(sim.partition(), vec![vec![0, 2], vec![1, 3]]);
-            }
-            sim.set_kernel_mode(mode);
-            sim.run(25);
-            (
-                sim.component::<Consumer>(ca).unwrap().received.clone(),
-                sim.component::<Consumer>(cb).unwrap().received.clone(),
-            )
-        };
-        assert_eq!(
-            observe_interleaved(KernelMode::Islands),
-            observe_interleaved(KernelMode::Step)
-        );
     }
 
     /// Declares one wire, touches another: the armed sanitizer flags both
@@ -2557,340 +1689,203 @@ mod tests {
         assert_eq!(sim.sanitizer_violations_dropped(), 0);
     }
 
-    /// A component whose wake hint secretly watches shared state that no
-    /// couple declares: the armed sanitizer reports the undeclared wake
-    /// (in release builds too — this is the missed-wake poll, promoted
-    /// from a debug-only check).
+    /// A component whose hint under-reports: it acts on every even cycle,
+    /// but after an odd cycle it claims nothing happens for nine more. A
+    /// timer bounds the skip at an even cycle, where the audit catches the
+    /// component claiming to be due inside the stretch it promised was
+    /// silent — a missed wake, and with the sanitizer armed (in release
+    /// builds too) an undeclared wake.
     #[test]
     fn sanitizer_reports_undeclared_wake() {
-        use std::cell::RefCell;
-        use std::rc::Rc;
-        type Shared = Rc<RefCell<bool>>;
-
-        struct Setter {
-            shared: Shared,
+        struct HalfRate;
+        impl Component for HalfRate {
+            fn tick(&mut self, _ctx: &mut TickCtx<'_>) {}
+            fn name(&self) -> &str {
+                "half-rate"
+            }
+            fn next_event(&self, cycle: Cycle) -> Option<Cycle> {
+                Some(if cycle.is_multiple_of(2) {
+                    cycle
+                } else {
+                    cycle + 9
+                })
+            }
+        }
+        struct Timer {
             at: Cycle,
         }
-        impl Component for Setter {
-            fn tick(&mut self, ctx: &mut TickCtx<'_>) {
-                if ctx.cycle == self.at {
-                    *self.shared.borrow_mut() = true;
-                }
-            }
+        impl Component for Timer {
+            fn tick(&mut self, _ctx: &mut TickCtx<'_>) {}
             fn next_event(&self, cycle: Cycle) -> Option<Cycle> {
                 (cycle <= self.at).then_some(self.at)
             }
         }
 
-        struct Latcher {
-            shared: Shared,
-        }
-        impl Component for Latcher {
-            fn tick(&mut self, _ctx: &mut TickCtx<'_>) {}
-            fn name(&self) -> &str {
-                "latcher"
-            }
-            fn next_event(&self, cycle: Cycle) -> Option<Cycle> {
-                self.shared.borrow().then_some(cycle)
-            }
-        }
-
-        let shared: Shared = Rc::new(RefCell::new(false));
         let mut sim = Sim::new();
         sim.set_sanitize(true);
-        sim.add(Setter {
-            shared: Rc::clone(&shared),
-            at: 10,
-        });
-        let latcher = sim.add(Latcher {
-            shared: Rc::clone(&shared),
-        });
-        sim.add(Nop); // heartbeat: keeps every cycle processed
+        let half = sim.add(HalfRate);
+        sim.add(Timer { at: 4 });
         sim.run(20);
+        let missed = |v: &ContractViolation| v.kind == ViolationKind::MissedWake;
+        assert!(
+            sim.contract_violations().iter().any(missed),
+            "missed wake must be flagged: {:?}",
+            sim.contract_violations()
+        );
         assert!(
             sim.sanitizer_violations()
                 .iter()
-                .any(|v| v.kind == SanitizerKind::UndeclaredWake && v.component == latcher.index()),
+                .any(|v| v.kind == SanitizerKind::UndeclaredWake && v.component == half.index()),
             "undeclared wake must be flagged: {:?}",
             sim.sanitizer_violations()
         );
     }
 
-    // --- Batch windows (beat-batched transfers, `DESIGN.md` §8) ---------
-    //
-    // A three-stage pipeline with honest capacity-bounded horizons:
-    //
-    //   BatchProducer → w1 → BatchRelay → w2 → BatchConsumer
-    //
-    // The relay and consumer hold off until `start_at`, letting the
-    // producer build queue depth; once everyone runs, the occupancies are
-    // steady (one push + one pop per wire per cycle), so windows form
-    // repeatedly. Every horizon is bounded by `relayable`/`headroom` at
-    // window start, which is exactly what makes component-major window
-    // execution equal to the cycle-major interleaving.
-
-    struct BatchProducer {
-        out: WireId<WBeat>,
-        sent: u64,
-        limit: u64,
-    }
-    impl Component for BatchProducer {
-        fn tick(&mut self, ctx: &mut TickCtx<'_>) {
-            if self.sent < self.limit && ctx.pool.can_push(self.out, ctx.cycle) {
-                ctx.pool
-                    .push(self.out, ctx.cycle, WBeat::full(self.sent, false));
-                self.sent += 1;
-            }
+    /// `REALM_KERNEL` accepts `step` or nothing; every other value,
+    /// including the names of removed kernels, is an error naming the
+    /// accepted ones — never a silent fallback.
+    #[test]
+    fn kernel_env_accepts_only_step_or_unset() {
+        assert_eq!(KernelMode::parse(None), Ok(KernelMode::Skip));
+        assert_eq!(KernelMode::parse(Some("step")), Ok(KernelMode::Step));
+        for bad in ["event", "islands", "arena", "stepped", "", "STEP"] {
+            let err = KernelMode::parse(Some(bad)).unwrap_err();
+            assert!(err.contains("REALM_KERNEL=step"), "{bad}: {err}");
         }
-        fn name(&self) -> &str {
-            "bproducer"
-        }
-        fn ports(&self) -> Vec<PortDecl> {
-            vec![PortDecl::new("W", self.out.index(), PortDir::Drive)]
-        }
-        fn batch_horizon(&self, cycle: Cycle, pool: &ChannelPool) -> u64 {
-            // One push per cycle: bounded by the output headroom at window
-            // start and by the beats left before the completion transition.
-            pool.headroom(self.out, cycle).min(self.limit - self.sent)
-        }
-        // Default `batch_tick` (per-cycle replay) — the window still
-        // collapses the *relay's* beats into one ring sweep.
+        assert_eq!(KernelMode::Skip.name(), "skip");
+        assert_eq!(KernelMode::Step.name(), "step");
     }
 
-    struct BatchRelay {
-        input: WireId<WBeat>,
-        out: WireId<WBeat>,
-        start_at: Cycle,
+    /// A couple source registered after its dependent is asked, before it
+    /// ticks, whether it may write: an idle one does not stop the skip,
+    /// a busy one does. The dependent is coupled to an idle source here,
+    /// so the system still skips nearly everything.
+    #[test]
+    fn idle_backward_couple_source_does_not_stop_skipping() {
+        let (mut sim, p, c) = build();
+        sim.couple(c, p);
+        sim.run(1_000);
+        let stats = sim.kernel_stats();
+        assert!(
+            stats.cycles_skipped > 900,
+            "an idle source must not pin the kernel: {stats:?}"
+        );
+        assert_eq!(sim.component::<Consumer>(c).unwrap().received.len(), 5);
     }
-    impl Component for BatchRelay {
-        fn tick(&mut self, ctx: &mut TickCtx<'_>) {
-            if ctx.cycle < self.start_at {
-                return;
-            }
-            if ctx.pool.can_push(self.out, ctx.cycle) {
-                if let Some(beat) = ctx.pool.pop(self.input, ctx.cycle) {
-                    ctx.pool.push(self.out, ctx.cycle, beat);
+
+    /// Input parked on a consumer's wire keeps the system from skipping
+    /// while the consumer may still take it: a consumer that pops only on
+    /// every third cycle (and has no wake hint of its own) drains exactly
+    /// as it does under stepping.
+    #[test]
+    fn parked_input_keeps_the_consumer_ticking() {
+        struct Picky {
+            input: WireId<WBeat>,
+            received: Vec<(Cycle, u64)>,
+        }
+        impl Component for Picky {
+            fn tick(&mut self, ctx: &mut TickCtx<'_>) {
+                if ctx.cycle.is_multiple_of(3) {
+                    if let Some(beat) = ctx.pool.pop(self.input, ctx.cycle) {
+                        self.received.push((ctx.cycle, beat.data));
+                    }
                 }
             }
-        }
-        fn name(&self) -> &str {
-            "brelay"
-        }
-        fn ports(&self) -> Vec<PortDecl> {
-            vec![
-                PortDecl::new("W", self.input.index(), PortDir::Consume),
-                PortDecl::new("W", self.out.index(), PortDir::Drive),
-            ]
-        }
-        fn batch_horizon(&self, cycle: Cycle, pool: &ChannelPool) -> u64 {
-            if cycle < self.start_at {
-                return 0; // the start transition must land on a tick
+            fn ports(&self) -> Vec<PortDecl> {
+                vec![PortDecl::new("W", self.input.index(), PortDir::Consume)]
             }
-            pool.relayable(self.input, cycle)
-                .min(pool.headroom(self.out, cycle))
-        }
-        fn batch_tick(&mut self, ctx: &mut TickCtx<'_>, window: u64) {
-            debug_assert!(ctx.cycle >= self.start_at);
-            let moved = ctx
-                .pool
-                .batch_relay(self.input, self.out, ctx.cycle, window);
-            debug_assert_eq!(moved, window, "horizon sized the window");
-        }
-    }
-
-    struct BatchConsumer {
-        input: WireId<WBeat>,
-        start_at: Cycle,
-        received: Vec<u64>,
-    }
-    impl Component for BatchConsumer {
-        fn tick(&mut self, ctx: &mut TickCtx<'_>) {
-            if ctx.cycle < self.start_at {
-                return;
-            }
-            if let Some(beat) = ctx.pool.pop(self.input, ctx.cycle) {
-                self.received.push(beat.data);
+            fn next_event(&self, _cycle: Cycle) -> Option<Cycle> {
+                None
             }
         }
-        fn name(&self) -> &str {
-            "bconsumer"
-        }
-        fn ports(&self) -> Vec<PortDecl> {
-            vec![PortDecl::new("W", self.input.index(), PortDir::Consume)]
-        }
-        fn batch_horizon(&self, cycle: Cycle, pool: &ChannelPool) -> u64 {
-            if cycle < self.start_at {
-                return 0;
-            }
-            pool.relayable(self.input, cycle)
-        }
-    }
-
-    /// Builds the pipeline; `plan` installs the all-approved batching plan.
-    fn build_batch_pipeline(plan: bool, limit: u64) -> (Sim, ComponentId) {
-        let mut sim = Sim::new();
-        let w1 = sim.pool_mut().new_wire::<WBeat>(8);
-        let w2 = sim.pool_mut().new_wire::<WBeat>(8);
-        sim.add(BatchProducer {
-            out: w1,
-            sent: 0,
-            limit,
-        });
-        sim.add(BatchRelay {
-            input: w1,
-            out: w2,
-            start_at: 4,
-        });
-        let c = sim.add(BatchConsumer {
-            input: w2,
-            start_at: 6,
-            received: Vec::new(),
-        });
-        if plan {
-            sim.set_batch_plan(vec![true; 3]);
-        }
-        (sim, c)
-    }
-
-    /// Windows form on the steady backlogged pipeline, move beats through
-    /// `batch_relay`, and the result is bit-identical to flat stepping.
-    #[test]
-    fn batch_windows_form_and_match_stepping() {
-        let run = |mode: KernelMode, plan: bool| {
-            let (mut sim, c) = build_batch_pipeline(plan, 40);
+        let run = |mode: KernelMode| {
+            let mut sim = Sim::new();
             sim.set_kernel_mode(mode);
-            sim.run(80);
-            let stats = sim.kernel_stats();
-            let received = sim.component::<BatchConsumer>(c).unwrap().received.clone();
-            (sim.cycle(), received, stats)
+            let wire = sim.pool_mut().new_wire::<WBeat>(8);
+            sim.add(Producer {
+                out: wire,
+                sent: 0,
+                limit: 5,
+            });
+            let c = sim.add(Picky {
+                input: wire,
+                received: Vec::new(),
+            });
+            sim.run(100);
+            sim.component::<Picky>(c).unwrap().received.clone()
         };
-        let (cycle_a, recv_a, stats_a) = run(KernelMode::Arena, true);
-        let (cycle_s, recv_s, stats_s) = run(KernelMode::Step, true);
-        assert_eq!(cycle_a, cycle_s);
-        assert_eq!(recv_a, (0..40).collect::<Vec<_>>());
-        assert_eq!(recv_a, recv_s);
-        assert!(
-            stats_a.batch_windows > 0,
-            "steady backlog must open windows: {stats_a:?}"
-        );
-        assert!(
-            stats_a.batched_beats > 0,
-            "the relay's sweeps must be accounted: {stats_a:?}"
-        );
-        // Batched beats ride in windows; both count toward neither kernel's
-        // observable results.
-        assert_eq!(stats_s.batch_windows, 0);
-        assert_eq!(stats_s.batched_beats, 0);
-        // Every cycle is accounted exactly once in the arena run too.
-        assert_eq!(stats_a.ticks_executed + stats_a.cycles_skipped, 80);
+        let fast = run(KernelMode::Skip);
+        assert_eq!(fast.len(), 5, "{fast:?}");
+        assert_eq!(fast, run(KernelMode::Step));
     }
 
-    /// Without a plan the arena kernel never consults horizons: same
-    /// results, zero windows.
-    #[test]
-    fn no_plan_means_no_windows() {
-        let (mut sim, c) = build_batch_pipeline(false, 40);
-        sim.set_kernel_mode(KernelMode::Arena);
-        sim.run(80);
-        assert_eq!(sim.kernel_stats().batch_windows, 0);
-        assert_eq!(sim.kernel_stats().batched_beats, 0);
-        assert_eq!(
-            sim.component::<BatchConsumer>(c).unwrap().received,
-            (0..40).collect::<Vec<_>>()
-        );
-    }
-
-    /// A contended steady stream (occupancy one) yields horizons below
-    /// two: the window degenerates to zero-length and batching never
-    /// engages — the plan alone is not enough.
+    /// A steady stream through a relay chain moves a beat on every cycle,
+    /// so no cycle is quiet and the skip window degenerates to zero
+    /// length while the path is live — even though no component asks to
+    /// be woken. Once the stream has drained, the rest of the run is
+    /// skipped. Delivery order and stop cycle match stepping.
     #[test]
     fn zero_length_window_on_contended_path() {
-        let mut sim = Sim::new();
-        let w1 = sim.pool_mut().new_wire::<WBeat>(8);
-        let w2 = sim.pool_mut().new_wire::<WBeat>(8);
-        sim.add(BatchProducer {
-            out: w1,
-            sent: 0,
-            limit: 40,
-        });
-        // No hold-off: the relay and consumer drain from cycle zero, so
-        // every wire's occupancy stays at one beat and `relayable` never
-        // reaches the two-cycle minimum.
-        sim.add(BatchRelay {
-            input: w1,
-            out: w2,
-            start_at: 0,
-        });
-        let c = sim.add(BatchConsumer {
-            input: w2,
-            start_at: 0,
-            received: Vec::new(),
-        });
-        sim.set_batch_plan(vec![true; 3]);
-        sim.set_kernel_mode(KernelMode::Arena);
-        sim.run(80);
-        assert_eq!(
-            sim.kernel_stats().batch_windows,
-            0,
-            "occupancy-one streaming must not batch: {:?}",
-            sim.kernel_stats()
-        );
-        assert_eq!(
-            sim.component::<BatchConsumer>(c).unwrap().received,
-            (0..40).collect::<Vec<_>>()
-        );
-    }
-
-    /// A due component outside the plan vetoes the window even when every
-    /// other participant could batch.
-    #[test]
-    fn unapproved_due_component_vetoes_window() {
-        let (mut sim, c) = build_batch_pipeline(true, 40);
-        // Overwrite the plan: the relay is no longer approved.
-        sim.set_batch_plan(vec![true, false, true]);
-        sim.set_kernel_mode(KernelMode::Arena);
-        sim.run(80);
-        assert_eq!(sim.kernel_stats().batch_windows, 0);
-        assert_eq!(
-            sim.component::<BatchConsumer>(c).unwrap().received,
-            (0..40).collect::<Vec<_>>()
-        );
-    }
-
-    /// The sanitizer stays armed through batch windows: the relay's ring
-    /// sweeps land on declared wires and report nothing.
-    #[test]
-    fn batch_windows_are_sanitizer_clean() {
-        let (mut sim, _c) = build_batch_pipeline(true, 40);
-        sim.set_sanitize(true);
-        sim.set_kernel_mode(KernelMode::Arena);
-        sim.run(80);
-        assert!(sim.kernel_stats().batch_windows > 0);
-        assert!(
-            sim.sanitizer_violations().is_empty(),
-            "batched relays are declared traffic: {:?}",
-            sim.sanitizer_violations()
-        );
-    }
-
-    /// Predicate-driven runs disable windows entirely: `run_until` checks
-    /// its predicate before every processed cycle, and a window advancing
-    /// several cycles at once could overshoot the exact stop cycle a
-    /// stepped run reports. Stop cycles must stay bit-identical.
-    #[test]
-    fn run_until_disables_windows_for_exact_stop_cycles() {
-        let observe = |mode: KernelMode| {
-            let (mut sim, c) = build_batch_pipeline(true, 40);
+        struct Relay {
+            input: WireId<WBeat>,
+            out: WireId<WBeat>,
+        }
+        impl Component for Relay {
+            fn tick(&mut self, ctx: &mut TickCtx<'_>) {
+                if ctx.pool.can_push(self.out, ctx.cycle) {
+                    if let Some(beat) = ctx.pool.pop(self.input, ctx.cycle) {
+                        ctx.pool.push(self.out, ctx.cycle, beat);
+                    }
+                }
+            }
+            fn ports(&self) -> Vec<PortDecl> {
+                vec![
+                    PortDecl::new("in", self.input.index(), PortDir::Consume),
+                    PortDecl::new("out", self.out.index(), PortDir::Drive),
+                ]
+            }
+            fn next_event(&self, _cycle: Cycle) -> Option<Cycle> {
+                None
+            }
+        }
+        const BEATS: u64 = 40;
+        let run = |mode: KernelMode| {
+            let mut sim = Sim::new();
             sim.set_kernel_mode(mode);
-            let fired = sim.run_until(200, |s| {
-                s.component::<BatchConsumer>(c)
-                    .is_some_and(|x| x.received.len() >= 17)
+            let w1 = sim.pool_mut().new_wire::<WBeat>(64);
+            let w2 = sim.pool_mut().new_wire::<WBeat>(8);
+            // One beat per push cycle: beat `k` becomes visible at `k + 1`,
+            // a stream arriving at line rate with no producer to wake.
+            for k in 0..BEATS {
+                sim.pool_mut().push(w1, k, WBeat::full(k, false));
+            }
+            sim.add(Relay { input: w1, out: w2 });
+            let c = sim.add(Consumer {
+                input: w2,
+                received: Vec::new(),
             });
-            (fired, sim.cycle(), sim.kernel_stats().batch_windows)
+            let fired = sim.run_until(1_000, |s| {
+                s.component::<Consumer>(c)
+                    .is_some_and(|x| x.received.len() as u64 == BEATS)
+            });
+            let live = (fired, sim.cycle(), sim.kernel_stats());
+            sim.run(500);
+            let received = sim.component::<Consumer>(c).unwrap().received.clone();
+            (live, received, sim.kernel_stats())
         };
-        let (fired_a, cycle_a, windows_a) = observe(KernelMode::Arena);
-        let (fired_s, cycle_s, _) = observe(KernelMode::Step);
-        assert_eq!((fired_a, cycle_a), (fired_s, cycle_s));
-        assert_eq!(windows_a, 0, "predicate runs must not batch");
+        let ((fired, stop, live), received, total) = run(KernelMode::Skip);
+        let ((fired_s, stop_s, _), received_s, _) = run(KernelMode::Step);
+        assert!(fired);
+        assert_eq!((fired, stop), (fired_s, stop_s), "stop cycle");
+        assert_eq!(received, (0..BEATS).collect::<Vec<_>>());
+        assert_eq!(received, received_s);
+        assert_eq!(
+            live.cycles_skipped, 0,
+            "a live stream must not open a skip window: {live:?}"
+        );
+        assert!(
+            total.cycles_skipped >= 499,
+            "the drained path must be skipped: {total:?}"
+        );
     }
 }

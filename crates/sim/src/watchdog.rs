@@ -86,9 +86,9 @@ impl Component for Watchdog {
     }
 
     fn backlog_event(&self, _cycle: Cycle) -> Option<Cycle> {
-        // Beats parked in flight do not move `total_pushes`; the opaque
-        // push-wakes plus the threshold hint above cover every transition,
-        // so backlog alone never requires a tick.
+        // Beats parked in flight do not move `total_pushes`; a push is never
+        // skipped over, and the threshold hint above covers every other
+        // transition, so backlog alone never requires a tick.
         None
     }
 

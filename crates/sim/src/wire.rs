@@ -113,10 +113,11 @@ impl Ring {
         self.len < self.cap && self.last_push != cycle
     }
 
-    /// `true` if the ring already accepted a beat at `cycle`.
+    /// `true` if the ring accepted or released a beat at `cycle` or later.
     #[inline]
-    pub(crate) fn pushed_at(&self, cycle: Cycle) -> bool {
-        self.last_push == cycle
+    pub(crate) fn touched_since(&self, cycle: Cycle) -> bool {
+        (self.last_push != NO_CYCLE && self.last_push >= cycle)
+            || (self.last_pop != NO_CYCLE && self.last_pop >= cycle)
     }
 
     /// Arena index of the slot a push would write next.
@@ -133,17 +134,6 @@ impl Ring {
     #[inline]
     fn front_slot(&self) -> usize {
         (self.base + self.head) as usize
-    }
-
-    /// Arena index of the `i`-th queued beat from the front (valid for
-    /// `i < len`).
-    #[inline]
-    pub(crate) fn nth_slot(&self, i: u32) -> usize {
-        let mut pos = self.head + i;
-        if pos >= self.cap {
-            pos -= self.cap;
-        }
-        (self.base + pos) as usize
     }
 
     /// Claims the tail slot for a push at `cycle`: enforces the

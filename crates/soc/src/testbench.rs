@@ -309,10 +309,11 @@ impl Testbench {
         let guard = BusGuard::new(RealmRegFile::new(unit_regs));
         let mmio = sim.add(MmioSubordinate::new(guard, CFG_BASE, CFG_SIZE, cfg_port));
         // The register file and the REALM units share state outside the wire
-        // graph (`Rc<RefCell<RegState>>`), which the event kernel cannot see.
-        // Declaring the coupling flushes each unit before an MMIO tick (stats
-        // reads observe reconciled counters) and wakes it afterwards (config
-        // writes take effect immediately, even if the unit was asleep).
+        // graph (`Rc<RefCell<RegState>>`), which the kernel cannot see.
+        // Declaring the coupling keeps the kernel from skipping the cycle
+        // after an MMIO tick that may have written a unit's registers (the
+        // units tick before the MMIO frontend, so they see a write one
+        // cycle later).
         for &id in realm_ids.iter().flatten() {
             sim.couple(mmio, id);
         }
@@ -345,7 +346,7 @@ impl Testbench {
             scoreboard = scoreboard.boundary(&mgr_refs, &["llc", "spm", "cfgreg"]);
         }
 
-        let mut tb = Self {
+        let tb = Self {
             sim,
             core,
             dma,
@@ -369,14 +370,6 @@ impl Testbench {
         if realm_lint::enabled_by_env() {
             realm_lint::apply("testbench", &tb.lint_report());
         }
-
-        // Beat-batching plan from the static dependence analysis (Pass C):
-        // which components sit on uncontended point-to-point paths. Fed
-        // unconditionally — it is structural permission only, consulted by
-        // the arena kernel before opening a batch window and ignored by
-        // every other kernel, so results stay bit-identical either way.
-        let (partition, _) = realm_lint::analyze_deps(&tb.sim.topology(), &tb.lint_model());
-        tb.sim.set_batch_plan(partition.batch_allowed);
         tb
     }
 

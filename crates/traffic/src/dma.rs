@@ -78,9 +78,10 @@ pub struct DmaModel {
     write_queue: VecDeque<Transfer>,
     write_state: Option<WriteState>,
     /// Whether the last tick's AW/W/AR push attempt hit a full wire. A full
-    /// wire only drains via a consumer pop, and pops wake sleeping
-    /// components, so a blocked engine can sleep instead of retrying every
-    /// cycle — the refinement that lets a budget-throttled DMA quiesce.
+    /// wire only drains via a consumer pop, and the kernel never skips a
+    /// cycle with a pop, so a blocked engine can report no wake instead of
+    /// retrying every cycle — the refinement that lets a budget-throttled
+    /// DMA quiesce.
     aw_blocked: bool,
     w_blocked: bool,
     ar_blocked: bool,
@@ -306,8 +307,8 @@ impl Component for DmaModel {
 
     fn next_event(&self, cycle: Cycle) -> Option<Cycle> {
         // The write engine wants to push — but if its last attempt hit a
-        // full wire, only a consumer pop can change that, and pops wake
-        // sleepers, so a blocked engine need not spin.
+        // full wire, only a consumer pop can change that, and a cycle with
+        // a pop is never skipped, so a blocked engine need not spin.
         match &self.write_state {
             Some(WriteState::IssueAw { .. }) if !self.aw_blocked => return Some(cycle),
             Some(WriteState::Stream { .. }) if !self.w_blocked => return Some(cycle),
