@@ -3,11 +3,12 @@
 //! A [`ProtocolMonitor`] watches one [`AxiBundle`] through wire taps: every
 //! beat accepted onto any of the port's five wires is delivered to the
 //! monitor exactly once, with its push cycle, regardless of component tick
-//! order, back-to-back identical payloads, or kernel fast-forward jumps
-//! (taps fill at push time, pushes only happen in executed cycles, and a
-//! fast-forward requires empty wires — so taps are always drained before a
-//! jump). The monitor never pushes, pops, or peeks a wire, so attaching it
-//! cannot perturb simulated behaviour.
+//! order, back-to-back identical payloads, or kernel fast-forward jumps.
+//! Taps fill at push time and pushes only happen in executed cycles, which
+//! the monitor always ticks in; a skip may leave beats parked on the wires,
+//! but those were pushed — and drained from the tap — before it. The
+//! monitor never pushes, pops, or peeks a wire, so attaching it cannot
+//! perturb simulated behaviour.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
@@ -515,24 +516,6 @@ impl Component for ProtocolMonitor {
     // require a monitor tick.
     fn backlog_event(&self, _cycle: Cycle) -> Option<Cycle> {
         None
-    }
-
-    fn coverage(&self, map: &mut axi_sim::CoverageMap) {
-        // Rule coverage: which of the 12 protocol rules this port has
-        // *observed firing*, exact counts. Channel-activity keys record
-        // which request/response shapes the port carried at all — error
-        // responses get their own key since a DECERR path is behaviour a
-        // clean run never exercises.
-        let prefix = format!("conf.{}", self.name);
-        for (rule, hits) in &self.rule_hits {
-            map.add(format!("{prefix}.rule.{}", rule.label()), *hits);
-        }
-        map.add(format!("{prefix}.aw"), self.counters.aw_bursts);
-        map.add(format!("{prefix}.ar"), self.counters.ar_bursts);
-        map.add(format!("{prefix}.w"), self.counters.w_beats);
-        map.add(format!("{prefix}.r"), self.counters.r_beats);
-        map.add(format!("{prefix}.b"), self.counters.b_resps);
-        map.add(format!("{prefix}.err"), self.counters.err_resps);
     }
 
     fn telemetry(&self, sink: &mut axi_sim::TelemetrySink) {

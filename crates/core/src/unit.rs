@@ -2,7 +2,7 @@
 //! component between a manager and the interconnect.
 
 use axi4::{fragment_read, fragment_write_header};
-use axi_sim::{AxiBundle, Component, CoverageMap, TickCtx};
+use axi_sim::{AxiBundle, Component, TickCtx};
 use realm_telemetry::{trace_from_env, Histogram, TelemetrySink};
 
 use crate::config::{DesignConfig, RuntimeConfig};
@@ -607,24 +607,6 @@ impl Component for RealmUnit {
         // are constant while asleep; and a region whose budget or byte
         // counter differs from its reset value has a period-boundary wake
         // scheduled, so no stretch crosses a replenishment.
-    }
-
-    fn coverage(&self, map: &mut CoverageMap) {
-        // Regulation-event coverage for the fuzz campaign: a seed that
-        // first trips isolation, first drains a budget, or first pushes
-        // the write buffer to a new high lights up a signature bit.
-        map.add(
-            format!("{}.isolation_trips", self.name),
-            self.stats.isolation_trips,
-        );
-        map.add(
-            format!("{}.budget_exhaust", self.name),
-            self.stats.budget_exhaustions,
-        );
-        map.add(
-            format!("{}.wbuf.watermark", self.name),
-            self.write.buffer_watermark() as u64,
-        );
     }
 
     fn telemetry(&self, sink: &mut TelemetrySink) {

@@ -214,15 +214,8 @@ impl Campaign {
             }
             self.conformance_violations += outcome.conformance.total_violations();
 
-            let new_keys = outcome
-                .coverage
-                .signature()
-                .iter()
-                .filter(|k| !self.seen.contains(**k))
-                .count() as u64;
-            for key in outcome.coverage.signature() {
-                self.seen.insert(key.to_string());
-            }
+            let new_keys = outcome.coverage.keys().difference(&self.seen).count() as u64;
+            self.seen.extend(outcome.coverage.keys().iter().cloned());
             // Corpus admission: discoverers only (guided mode reads it;
             // the control arm never will, but keeping the bookkeeping
             // identical makes the two arms differ *only* in selection).

@@ -9,10 +9,11 @@
 //!   for the `tests/corpus/` reproducer files.
 //! - [`rig`]: builds the monitored system a spec describes (manager →
 //!   REALM unit → crossbar → memory, protocol monitors on every port, a
-//!   conservation scoreboard across the interconnect) and harvests a
-//!   [`CoverageMap`](axi_sim::CoverageMap) spanning three layers:
-//!   conformance-rule observations, crossbar grant decisions, and
-//!   topology edges exercised.
+//!   conservation scoreboard across the interconnect) and harvests the
+//!   run's [`Coverage`] signature ([`coverage`]): per-port protocol-rule
+//!   hits and channel activity, crossbar grant decisions, REALM
+//!   regulation events and latency-histogram buckets, all read from the
+//!   telemetry registry, plus the topology edges the run exercised.
 //! - [`oracle`]: the differential check. realm-lint's budget arithmetic
 //!   decides *feasibility*; for feasible specs the paper's
 //!   min-granted-bandwidth guarantee converts into an additive
@@ -34,6 +35,7 @@
 #![warn(missing_docs)]
 
 pub mod campaign;
+pub mod coverage;
 pub mod mutate;
 pub mod oracle;
 pub mod rig;
@@ -43,6 +45,7 @@ pub use campaign::{
     minimize_spec, run_batch_serial, Campaign, CampaignConfig, CorpusEntry, CoveragePoint,
     OracleViolation,
 };
+pub use coverage::Coverage;
 pub use mutate::{apply_op, mutate, Mutation};
 pub use oracle::{check, completion_bound, ManagerCheck, OracleVerdict};
 pub use rig::{lint_spec, run_spec, ManagerOutcome, RunOutcome, MAX_RUN_CYCLES};

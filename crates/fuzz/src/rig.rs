@@ -7,10 +7,11 @@ use axi4::SubordinateId;
 use axi_conformance::{ConformanceReport, ProtocolMonitor, Scoreboard};
 use axi_mem::{MemoryConfig, MemoryModel};
 use axi_realm::{DesignConfig, RealmUnit};
-use axi_sim::{AxiBundle, BundleCapacity, ComponentId, CoverageMap, KernelStats, Sim};
+use axi_sim::{AxiBundle, BundleCapacity, ComponentId, KernelStats, Sim};
 use axi_traffic::ScriptedManager;
 use axi_xbar::{AddressMap, Crossbar};
 
+use crate::coverage::Coverage;
 use crate::spec::{SystemSpec, WINDOW_BASE, WINDOW_SIZE};
 
 /// Simulation-cycle cap for any valid spec. The spec invariants (at
@@ -43,12 +44,8 @@ pub struct RunOutcome {
     pub conformance: ConformanceReport,
     /// Per-manager completion facts, in spec order.
     pub managers: Vec<ManagerOutcome>,
-    /// The run's coverage harvest (see
-    /// [`Sim::coverage`](axi_sim::Sim::coverage)), extended with the
-    /// telemetry-delta layer: histogram-bucket occupancy from the
-    /// telemetry registry, so latency-distribution shifts guide the
-    /// campaign even when no new wire or rule fired.
-    pub coverage: CoverageMap,
+    /// The run's coverage signature (see [`Coverage`]).
+    pub coverage: Coverage,
     /// The run's full telemetry registry (see
     /// [`Sim::telemetry`](axi_sim::Sim::telemetry)). Component-side
     /// counters/histograms in here are kernel-invariant; `kernel.*`
@@ -116,19 +113,8 @@ pub fn run_spec(spec: &SystemSpec) -> RunOutcome {
         })
         .collect();
 
-    // Fourth coverage layer: telemetry deltas. Folding histogram-bucket
-    // occupancy into the map turns the latency *distribution* into
-    // coverage keys — a mutant that pushes a completion into a new
-    // power-of-two latency bucket counts as novel behaviour. Only
-    // component-side histograms exist in the registry, so the layer is
-    // kernel-invariant like the rest of the signature.
     let telemetry = sim.telemetry();
-    let mut coverage = sim.coverage();
-    for (key, hist) in telemetry.histograms() {
-        for (bucket, count) in hist.buckets() {
-            coverage.add(format!("telemetry.{key}.b{bucket}"), count);
-        }
-    }
+    let coverage = Coverage::harvest(&telemetry, &sim.pool().wire_activity());
 
     RunOutcome {
         finished,
@@ -216,12 +202,14 @@ mod tests {
         assert_eq!(out.managers.len(), 1);
         assert!(out.managers[0].finish.is_some());
         assert_eq!(out.managers[0].err_resps, 0);
-        // Coverage harvest sees all three layers: topology edges, grant
-        // decisions, and per-port channel activity.
-        let keys = out.coverage.signature();
+        // The signature sees topology edges, grant decisions, per-port
+        // channel activity and latency buckets.
+        let keys = out.coverage.keys();
         assert!(keys.iter().any(|k| k.starts_with("edge.")), "{keys:?}");
         assert!(keys.iter().any(|k| k.contains(".m0.")), "{keys:?}");
         assert!(keys.iter().any(|k| k.starts_with("conf.mem.")), "{keys:?}");
+        assert!(keys.iter().any(|k| k.starts_with("telemetry.")), "{keys:?}");
+        assert!(!keys.iter().any(|k| k.starts_with("kernel.")), "{keys:?}");
     }
 
     #[test]

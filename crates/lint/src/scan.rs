@@ -9,8 +9,8 @@
 //!   randomized per process, so any fold or report built from one drifts
 //!   between runs. Use `BTreeMap`/`BTreeSet` in sim-visible code.
 //! - `wall-clock` — reading host time inside simulation code couples
-//!   results to the machine. Exempt under `crates/bench/`, where
-//!   wall-clock baselines are the point.
+//!   results to the machine. Exempt under `crates/bench/` and
+//!   `realm-perf/`, where measuring host time is the point.
 //! - `float-accum` — summing floats out of an unordered container; the
 //!   result depends on accumulation order.
 //!
@@ -69,7 +69,9 @@ fn allowed(line: &str, prev: Option<&str>, rule: &str) -> bool {
 
 /// Scans one file's text; `rel` is the path recorded in violations.
 pub fn scan_source(rel: &str, text: &str, out: &mut Vec<Violation>) {
-    let wall_clock_exempt = rel.starts_with("crates/bench/");
+    let wall_clock_exempt = ["crates/bench/", "realm-perf/"]
+        .iter()
+        .any(|dir| rel.starts_with(dir));
     let mut prev: Option<&str> = None;
     for (i, line) in text.lines().enumerate() {
         let mut push = |rule: &'static str| {
@@ -194,6 +196,8 @@ mod tests {
         let src = format!("let t = {}();\n", concat!("Instant", "::now"));
         assert_eq!(scan("crates/core/src/x.rs", &src).len(), 1);
         assert!(scan("crates/bench/src/x.rs", &src).is_empty());
+        assert!(scan("realm-perf/src/main.rs", &src).is_empty());
+        assert_eq!(scan("crates/sim/src/sim.rs", &src).len(), 1);
     }
 
     #[test]

@@ -103,8 +103,7 @@ impl AxiBundle {
     }
 
     /// Declarations for a passive observer of this port (protocol
-    /// monitors, trace probes): peeks all five channels, sources and sinks
-    /// nothing.
+    /// monitors): taps all five channels, sources and sinks nothing.
     pub fn observer_ports(&self) -> Vec<PortDecl> {
         self.ports_with(PortDir::Observe, PortDir::Observe)
     }

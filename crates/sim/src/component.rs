@@ -4,7 +4,6 @@ use std::any::Any;
 
 use realm_telemetry::TelemetrySink;
 
-use crate::coverage::CoverageMap;
 use crate::pool::ChannelPool;
 use crate::topology::PortDecl;
 use crate::Cycle;
@@ -128,31 +127,20 @@ pub trait Component: Any {
         let _ = (from, to);
     }
 
-    /// Exports this component's coverage counters into `map` (see
-    /// [`Sim::coverage`](crate::Sim::coverage)).
-    ///
-    /// Implementations should emit dotted keys prefixed with the instance
-    /// name and only re-read counters the component already maintains —
-    /// the hook is called after (or between) runs, never on the per-cycle
-    /// hot path, and must not mutate behaviour. The default exports
-    /// nothing, which keeps legacy components coverage-opaque.
-    fn coverage(&self, map: &mut CoverageMap) {
-        let _ = map;
-    }
-
     /// Exports this component's telemetry — counters, gauges, latency
     /// histograms, and trace events — into `sink` (see
     /// [`Sim::telemetry`](crate::Sim::telemetry)).
     ///
-    /// The same contract as [`Component::coverage`]: the hook is called
-    /// after (or between) runs, never on the per-cycle hot path, it only
-    /// re-reads state the component already maintains, and it must not
-    /// mutate behaviour — telemetry on vs. off is required to be
-    /// bit-identical (CI-gated like the protocol monitors). Counter and
-    /// gauge keys are dotted and prefixed with the instance name
-    /// (`"realm.dma.isolation_trips"`); unlike coverage signatures, zero
-    /// counters *should* be registered so the registry documents every
-    /// signal a component exports. The default exports nothing.
+    /// The hook is called after (or between) runs, never on the per-cycle
+    /// hot path, it only re-reads state the component already maintains,
+    /// and it must not mutate behaviour — telemetry on vs. off is required
+    /// to be bit-identical (CI-gated like the protocol monitors). Counter
+    /// and gauge keys are dotted and prefixed with the instance name
+    /// (`"realm.dma.isolation_trips"`). Zero counters *should* be
+    /// registered so the registry documents every signal a component
+    /// exports; readers that want only what happened (the fuzz campaign's
+    /// coverage signature) filter on nonzero values. The default exports
+    /// nothing.
     fn telemetry(&self, sink: &mut TelemetrySink) {
         let _ = sink;
     }

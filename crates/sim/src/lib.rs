@@ -6,11 +6,12 @@
 //! - Time advances in integer clock cycles. Every [`Component`] is ticked
 //!   once per executed cycle; the run methods skip stretches in which no
 //!   component can change state (see [`Sim`]).
-//! - Channels are bounded [`Wire`]s. An item pushed at cycle *t* becomes
-//!   visible to consumers at *t + 1* ("register per hop"), so results do not
-//!   depend on the order components are ticked in, and every hop through a
-//!   component costs at least one cycle — matching the one-cycle latency the
-//!   REALM unit adds to in-flight transactions.
+//! - Channels are bounded FIFO wires owned by a [`ChannelPool`]. An item
+//!   pushed at cycle *t* becomes visible to consumers at *t + 1* ("register
+//!   per hop"), so results do not depend on the order components are ticked
+//!   in, and every hop through a component costs at least one cycle —
+//!   matching the one-cycle latency the REALM unit adds to in-flight
+//!   transactions.
 //! - A wire accepts at most one push and one pop per cycle, matching the
 //!   one-beat-per-cycle throughput of an AXI channel handshake.
 //!
@@ -43,29 +44,21 @@
 mod arb;
 mod bundle;
 mod component;
-mod coverage;
 mod pool;
 mod sim;
 mod topology;
-mod trace;
-mod vcd;
-mod watchdog;
 mod wire;
 
 pub use arb::RoundRobin;
 pub use bundle::{AxiBundle, BundleCapacity};
 pub use component::{Component, TickCtx};
-pub use coverage::CoverageMap;
 pub use pool::{Channel, ChannelPool, PushRefusal, SanitizerKind, WireActivity, WireId};
 pub use sim::{
     ComponentId, ComponentProfile, ContractViolation, KernelMode, KernelStats, SanitizerViolation,
     Sim, ViolationKind,
 };
 pub use topology::{PortDecl, PortDir, TopoComponent, TopoWire, Topology};
-pub use trace::{TraceChannel, TraceEvent, TracePayload, TraceProbe};
-pub use vcd::vcd_dump;
-pub use watchdog::Watchdog;
-pub use wire::{PushError, Wire, WireStats};
+pub use wire::{PushError, WireStats};
 
 // Re-exported so downstream crates can implement the
 // `Component::telemetry` hook without a direct `realm-telemetry` dep.

@@ -232,7 +232,7 @@ impl fmt::Display for PushRefusal {
 const MAX_REFUSALS: usize = 256;
 
 /// Lifetime throughput of one wire, keyed the same way as
-/// [`TopoWire`](crate::TopoWire) — the coverage-harvest view of the pool
+/// [`TopoWire`](crate::TopoWire) — which topology edges a run exercised
 /// (see [`ChannelPool::wire_activity`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WireActivity {
@@ -261,7 +261,7 @@ pub struct ChannelPool {
     // kernel's idle check is O(1) instead of a walk over every wire.
     in_flight: u64,
     // Beats ever accepted onto any wire, maintained incrementally so
-    // activity watchers (the watchdog) read it in O(1).
+    // activity watchers read it in O(1).
     total_pushed: u64,
     // Beats ever taken off any wire; with `total_pushed` it tells the
     // kernel in O(1) whether a cycle moved anything.
@@ -463,9 +463,8 @@ impl ChannelPool {
     }
 
     /// Throughput of every allocated wire, channel by channel in
-    /// AW/W/B/AR/R order — the wire side of a coverage harvest (see
-    /// [`Sim::coverage`](crate::Sim::coverage)). A wire with a nonzero
-    /// push count is a topology edge the run actually exercised.
+    /// AW/W/B/AR/R order. A wire with a nonzero push count is a topology
+    /// edge the run actually exercised.
     pub fn wire_activity(&self) -> Vec<WireActivity> {
         fn rows<T: Channel>(lane: &Lane<T>) -> impl Iterator<Item = WireActivity> + '_ {
             lane.rings

@@ -503,36 +503,15 @@ impl Sim {
         self.topology().islands()
     }
 
-    /// Harvests the run's coverage: every component's
-    /// [`Component::coverage`](crate::Component::coverage) export, plus an
-    /// `edge.{channel}[{index}]` key for each pool wire that carried at
-    /// least one beat (the lint-topology edges the run exercised).
-    ///
-    /// Pull-based and side-effect free — callable between runs or after
-    /// completion without perturbing the simulation.
-    pub fn coverage(&self) -> crate::CoverageMap {
-        let mut map = crate::CoverageMap::new();
-        for component in &self.components {
-            component.coverage(&mut map);
-        }
-        for wire in self.pool.wire_activity() {
-            map.add(
-                format!("edge.{}[{}]", wire.channel, wire.index),
-                wire.pushes,
-            );
-        }
-        map
-    }
-
     /// Harvests the run's telemetry: every component's
     /// [`Component::telemetry`](crate::Component::telemetry) export, plus
     /// the kernel's own signals — `kernel.*` counters from
     /// [`KernelStats`] and instant events for every retained contract and
     /// sanitizer violation.
     ///
-    /// Pull-based and side-effect free, like [`Sim::coverage`]: collecting
-    /// telemetry cannot perturb the simulation, so results are
-    /// bit-identical whether or not anything reads the sink (CI-gated).
+    /// Pull-based and side-effect free: collecting telemetry cannot
+    /// perturb the simulation, so results are bit-identical whether or not
+    /// anything reads the sink (CI-gated).
     ///
     /// Component counters and histograms are kernel-invariant (component
     /// state is bit-identical across kernels by construction). The
@@ -1886,6 +1865,66 @@ mod tests {
         assert!(
             total.cycles_skipped >= 499,
             "the drained path must be skipped: {total:?}"
+        );
+    }
+
+    /// A pool tap must see every beat even when the kernel fast-forwards
+    /// over the idle gaps between them. The producer sleeps 1000 cycles
+    /// between beats, so almost all simulated time is jumped over; the tap
+    /// still holds each beat once, stamped with the cycle it was pushed.
+    #[test]
+    fn fast_forward_does_not_lose_beats() {
+        struct SparseProducer {
+            out: WireId<WBeat>,
+            sent: u64,
+            next_at: Cycle,
+        }
+        impl Component for SparseProducer {
+            fn tick(&mut self, ctx: &mut TickCtx<'_>) {
+                if ctx.cycle >= self.next_at && self.sent < 5 {
+                    ctx.pool
+                        .push(self.out, ctx.cycle, WBeat::full(self.sent, false));
+                    self.sent += 1;
+                    self.next_at = ctx.cycle + 1000;
+                }
+            }
+            fn ports(&self) -> Vec<PortDecl> {
+                vec![PortDecl::new("W", self.out.index(), PortDir::Drive)]
+            }
+            fn next_event(&self, cycle: Cycle) -> Option<Cycle> {
+                (self.sent < 5).then(|| self.next_at.max(cycle))
+            }
+        }
+
+        let mut sim = Sim::new();
+        let wire = sim.pool_mut().new_wire::<WBeat>(2);
+        sim.pool_mut().enable_tap(wire);
+        sim.add(SparseProducer {
+            out: wire,
+            sent: 0,
+            next_at: 0,
+        });
+        let c = sim.add(Consumer {
+            input: wire,
+            received: Vec::new(),
+        });
+        sim.run(6_000);
+        assert!(
+            sim.kernel_stats().fast_forwards >= 4,
+            "idle gaps must be jumped: {:?}",
+            sim.kernel_stats()
+        );
+        let mut tapped = Vec::new();
+        sim.pool_mut().drain_tap(wire, &mut tapped);
+        let seen: Vec<(Cycle, u64)> = tapped.iter().map(|&(c, b)| (c, b.data)).collect();
+        assert_eq!(
+            seen,
+            [(0, 0), (1000, 1), (2000, 2), (3000, 3), (4000, 4)],
+            "no beat may be lost across jumps"
+        );
+        assert_eq!(
+            sim.component::<Consumer>(c).unwrap().received,
+            [0, 1, 2, 3, 4]
         );
     }
 }

@@ -19,7 +19,7 @@ pub enum PortDir {
     Drive,
     /// The component pops beats off the wire.
     Consume,
-    /// The component only peeks or taps the wire (passive monitor/probe);
+    /// The component only peeks or taps the wire (passive monitor);
     /// it neither sources nor sinks beats.
     Observe,
 }

@@ -1,18 +1,17 @@
 //! Bounded, timestamped queues modelling registered channel hops.
 //!
-//! Storage is a fixed ring buffer sized at construction: a wire never
-//! allocates after `new`, and the pool variant packs every ring of a
-//! channel into one contiguous arena (see `pool.rs`). The queue metadata
-//! (head/len/one-push-one-pop stamps/stats) lives in [`Ring`], shared
-//! between the standalone [`Wire`] and the pool's lanes so both enforce
-//! exactly the same register-per-hop semantics.
+//! Every wire is a fixed ring buffer sized at construction inside the
+//! [`ChannelPool`](crate::ChannelPool), which packs every ring of a channel
+//! into one contiguous arena (see `pool.rs`) and never allocates after
+//! `new_wire`. The queue metadata (head/len/one-push-one-pop stamps/stats)
+//! lives in [`Ring`]; it alone enforces the register-per-hop semantics.
 
 use std::error::Error;
 use std::fmt;
 
 use crate::Cycle;
 
-/// Why a push onto a [`Wire`] was refused.
+/// Why a push onto a wire was refused.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum PushError {
     /// The wire's bounded queue is full — downstream backpressure.
@@ -32,7 +31,7 @@ impl fmt::Display for PushError {
 
 impl Error for PushError {}
 
-/// Occupancy and throughput counters of a [`Wire`], for congestion analysis.
+/// Occupancy and throughput counters of a wire, for congestion analysis.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct WireStats {
     /// Total number of items ever pushed.
@@ -51,9 +50,8 @@ pub(crate) const NO_CYCLE: Cycle = Cycle::MAX;
 /// Queue metadata of one ring buffer: position in the backing arena plus
 /// the register-per-hop guards (one push and one pop per cycle).
 ///
-/// The ring itself holds no items — callers own a slot array (`Wire` a
-/// private one, the pool one arena per channel) and ask the ring which
-/// slot to read or write. Indices are `u32`: a wire capacity beyond 4
+/// The ring itself holds no items — the pool owns one slot arena per
+/// channel and asks the ring which slot to read or write. Indices are `u32`: a wire capacity beyond 4
 /// billion beats is not a simulation, it's a bug.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Ring {
@@ -189,238 +187,141 @@ impl Ring {
     }
 }
 
-/// A bounded queue with register-per-hop timing: an item pushed at cycle *t*
-/// becomes visible at *t + 1*, and at most one item may be pushed and one
-/// popped per cycle.
-///
-/// This is the kernel's model of a registered hardware FIFO between two
-/// components; see the crate docs for the rationale. Storage is a fixed
-/// ring buffer — no per-push allocation.
-#[derive(Clone, Debug)]
-pub struct Wire<T> {
-    slots: Vec<Option<(Cycle, T)>>,
-    ring: Ring,
-    // When tapped, every accepted push is also appended here (push cycle +
-    // payload) until a collector drains it — the exactly-once observation
-    // stream protocol monitors are built on.
-    tap: Option<Vec<(Cycle, T)>>,
-}
-
-impl<T> Wire<T> {
-    /// Creates a wire holding at most `capacity` in-flight items.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero — a zero-capacity wire could never
-    /// transport anything.
-    pub fn new(capacity: usize) -> Self {
-        let ring = Ring::new(0, capacity);
-        let mut slots = Vec::with_capacity(capacity);
-        slots.resize_with(capacity, || None);
-        Self {
-            slots,
-            ring,
-            tap: None,
-        }
-    }
-
-    /// Starts recording every accepted push into the tap buffer.
-    ///
-    /// Unlike peek-based probing, the tap sees each beat exactly once, in
-    /// push order, with its push cycle — even when identical payloads
-    /// follow each other or a consumer pops the beat in the same cycle a
-    /// peeker would have looked. A collector must call
-    /// [`Wire::drain_tap_into`] regularly (ticked components do so every
-    /// executed cycle) or the buffer grows unboundedly.
-    pub fn enable_tap(&mut self) {
-        self.tap.get_or_insert_with(Vec::new);
-    }
-
-    /// Returns `true` if pushes are being recorded.
-    pub fn is_tapped(&self) -> bool {
-        self.tap.is_some()
-    }
-
-    /// Moves all tapped `(push_cycle, beat)` records into `out`, oldest
-    /// first, clearing the tap buffer. No-op on an untapped wire.
-    pub fn drain_tap_into(&mut self, out: &mut Vec<(Cycle, T)>) {
-        if let Some(tap) = &mut self.tap {
-            out.append(tap);
-        }
-    }
-
-    /// Returns `true` if a push at `cycle` would be accepted.
-    pub fn can_push(&self, cycle: Cycle) -> bool {
-        self.ring.can_push(cycle)
-    }
-
-    /// Pushes an item at `cycle`; it becomes visible to `pop` from
-    /// `cycle + 1`.
-    ///
-    /// # Errors
-    ///
-    /// [`PushError::Full`] on backpressure, [`PushError::Busy`] if a beat
-    /// was already pushed this cycle.
-    pub fn try_push(&mut self, cycle: Cycle, item: T) -> Result<(), PushError>
-    where
-        T: Clone,
-    {
-        let slot = self.ring.try_push(cycle)?;
-        if let Some(tap) = &mut self.tap {
-            tap.push((cycle, item.clone()));
-        }
-        self.slots[slot] = Some((cycle, item));
-        Ok(())
-    }
-
-    /// Returns a reference to the front item if one is visible at `cycle`
-    /// and it has not been popped this cycle.
-    pub fn peek(&self, cycle: Cycle) -> Option<&T> {
-        let slot = self.ring.front_candidate(cycle)?;
-        match &self.slots[slot] {
-            Some((pushed, item)) if *pushed < cycle => Some(item),
-            _ => None,
-        }
-    }
-
-    /// Pops the front item if one is visible at `cycle`; at most one pop
-    /// succeeds per cycle.
-    pub fn pop(&mut self, cycle: Cycle) -> Option<T> {
-        let slot = self.ring.front_candidate(cycle)?;
-        match &self.slots[slot] {
-            Some((pushed, _)) if *pushed < cycle => {
-                self.ring.commit_pop(cycle);
-                self.slots[slot].take().map(|(_, item)| item)
-            }
-            _ => None,
-        }
-    }
-
-    /// Number of items currently in flight (visible or not).
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// Returns `true` if no items are in flight.
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
-    }
-
-    /// The maximum number of in-flight items.
-    pub fn capacity(&self) -> usize {
-        self.ring.capacity()
-    }
-
-    /// Occupancy and throughput counters.
-    pub fn stats(&self) -> WireStats {
-        self.ring.stats()
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    //! The register-per-hop semantics, checked on the pool — the only
+    //! owner of wires.
+
     use super::*;
+    use crate::{ChannelPool, WireId};
+    use axi4::WBeat;
+
+    fn wire(capacity: usize) -> (ChannelPool, WireId<WBeat>) {
+        let mut pool = ChannelPool::new();
+        let id = pool.new_wire::<WBeat>(capacity);
+        (pool, id)
+    }
+
+    fn beat(data: u64) -> WBeat {
+        WBeat::full(data, false)
+    }
+
+    fn pop(pool: &mut ChannelPool, id: WireId<WBeat>, cycle: Cycle) -> Option<u64> {
+        pool.pop(id, cycle).map(|b| b.data)
+    }
 
     #[test]
     fn push_visible_next_cycle() {
-        let mut w = Wire::new(4);
-        w.try_push(5, "a").unwrap();
-        assert!(w.peek(5).is_none());
-        assert_eq!(w.peek(6), Some(&"a"));
-        assert_eq!(w.pop(6), Some("a"));
-        assert!(w.is_empty());
+        let (mut pool, w) = wire(4);
+        pool.try_push(w, 5, beat(1)).unwrap();
+        assert!(pool.peek(w, 5).is_none());
+        assert_eq!(pool.peek(w, 6).map(|b| b.data), Some(1));
+        assert_eq!(pop(&mut pool, w, 6), Some(1));
+        assert!(pool.is_empty(w));
     }
 
     #[test]
     fn one_push_per_cycle() {
-        let mut w = Wire::new(4);
-        w.try_push(0, 1).unwrap();
-        assert_eq!(w.try_push(0, 2), Err(PushError::Busy));
-        assert!(!w.can_push(0));
-        assert!(w.can_push(1));
-        w.try_push(1, 2).unwrap();
-        assert_eq!(w.len(), 2);
+        let (mut pool, w) = wire(4);
+        pool.try_push(w, 0, beat(1)).unwrap();
+        assert_eq!(pool.try_push(w, 0, beat(2)), Err(PushError::Busy));
+        assert!(!pool.can_push(w, 0));
+        assert!(pool.can_push(w, 1));
+        pool.try_push(w, 1, beat(2)).unwrap();
+        assert_eq!(pool.len(w), 2);
     }
 
     #[test]
     fn one_pop_per_cycle() {
-        let mut w = Wire::new(4);
-        w.try_push(0, 1).unwrap();
-        w.try_push(1, 2).unwrap();
-        assert_eq!(w.pop(2), Some(1));
+        let (mut pool, w) = wire(4);
+        pool.try_push(w, 0, beat(1)).unwrap();
+        pool.try_push(w, 1, beat(2)).unwrap();
+        assert_eq!(pop(&mut pool, w, 2), Some(1));
         // Second item was pushed at cycle 1, so visible at 2 — but only one
         // pop per cycle is allowed.
-        assert_eq!(w.pop(2), None);
-        assert_eq!(w.peek(2), None);
-        assert_eq!(w.pop(3), Some(2));
+        assert_eq!(pop(&mut pool, w, 2), None);
+        assert!(pool.peek(w, 2).is_none());
+        assert_eq!(pop(&mut pool, w, 3), Some(2));
     }
 
     #[test]
     fn capacity_backpressure() {
-        let mut w = Wire::new(2);
-        w.try_push(0, 1).unwrap();
-        w.try_push(1, 2).unwrap();
-        assert_eq!(w.try_push(2, 3), Err(PushError::Full));
-        assert!(!w.can_push(2));
-        assert_eq!(w.stats().full_stalls, 1);
+        let (mut pool, w) = wire(2);
+        pool.try_push(w, 0, beat(1)).unwrap();
+        pool.try_push(w, 1, beat(2)).unwrap();
+        assert_eq!(pool.try_push(w, 2, beat(3)), Err(PushError::Full));
+        assert!(!pool.can_push(w, 2));
+        assert_eq!(pool.stats(w).full_stalls, 1);
         // Draining frees a slot.
-        assert_eq!(w.pop(2), Some(1));
-        assert!(w.can_push(3));
+        assert_eq!(pop(&mut pool, w, 2), Some(1));
+        assert!(pool.can_push(w, 3));
     }
 
     #[test]
     fn stats_track_throughput() {
-        let mut w = Wire::new(3);
+        let (mut pool, w) = wire(3);
         for c in 0..3 {
-            w.try_push(c, c).unwrap();
+            pool.try_push(w, c, beat(c)).unwrap();
         }
-        let s = w.stats();
-        assert_eq!(s.total_pushed, 3);
-        assert_eq!(s.high_water, 3);
-        assert_eq!(s.full_stalls, 0);
-        assert_eq!(w.capacity(), 3);
+        assert_eq!(
+            pool.stats(w),
+            WireStats {
+                total_pushed: 3,
+                high_water: 3,
+                full_stalls: 0,
+            }
+        );
+        // Pops free slots but never lower the lifetime counters.
+        assert_eq!(pop(&mut pool, w, 3), Some(0));
+        pool.try_push(w, 4, beat(3)).unwrap();
+        assert_eq!(pool.stats(w).total_pushed, 4);
+        assert_eq!(pool.stats(w).high_water, 3);
+        assert_eq!(pool.total_pushes(), 4);
     }
 
     #[test]
     #[should_panic(expected = "capacity")]
     fn zero_capacity_panics() {
-        let _ = Wire::<u8>::new(0);
+        let _ = wire(0);
     }
 
     #[test]
     fn tap_sees_every_push_exactly_once() {
-        let mut w = Wire::new(2);
-        assert!(!w.is_tapped());
-        w.enable_tap();
-        assert!(w.is_tapped());
+        let (mut pool, w) = wire(2);
+        let mut out = Vec::new();
+        // Untapped: pushes are not recorded.
+        pool.try_push(w, 0, beat(1)).unwrap();
+        pool.drain_tap(w, &mut out);
+        assert!(out.is_empty());
+        assert_eq!(pop(&mut pool, w, 1), Some(1));
+        pool.enable_tap(w);
         // Two identical payloads back to back — a peek-based observer would
         // dedupe them away; the tap must not.
-        w.try_push(0, 7u64).unwrap();
-        w.try_push(1, 7u64).unwrap();
-        assert_eq!(w.try_push(2, 8), Err(PushError::Full));
-        let mut out = Vec::new();
-        w.drain_tap_into(&mut out);
-        assert_eq!(out, [(0, 7), (1, 7)]);
+        pool.try_push(w, 1, beat(7)).unwrap();
+        pool.try_push(w, 2, beat(7)).unwrap();
+        assert_eq!(pool.try_push(w, 3, beat(8)), Err(PushError::Full));
+        pool.drain_tap(w, &mut out);
+        assert_eq!(out, [(1, beat(7)), (2, beat(7))]);
         // Drained: nothing left, refusals never recorded.
         out.clear();
-        w.drain_tap_into(&mut out);
+        pool.drain_tap(w, &mut out);
         assert!(out.is_empty());
         // Consumption does not disturb the tap.
-        assert_eq!(w.pop(2), Some(7));
-        w.try_push(2, 9).unwrap();
-        w.drain_tap_into(&mut out);
-        assert_eq!(out, [(2, 9)]);
+        assert_eq!(pop(&mut pool, w, 3), Some(7));
+        pool.try_push(w, 3, beat(9)).unwrap();
+        pool.drain_tap(w, &mut out);
+        assert_eq!(out, [(3, beat(9))]);
     }
 
     #[test]
     fn fifo_order_preserved() {
-        let mut w = Wire::new(8);
+        let (mut pool, w) = wire(8);
         for c in 0..5u64 {
-            w.try_push(c, c * 10).unwrap();
+            pool.try_push(w, c, beat(c * 10)).unwrap();
         }
         let mut out = Vec::new();
         let mut cycle = 5;
-        while let Some(v) = w.pop(cycle) {
+        while let Some(v) = pop(&mut pool, w, cycle) {
             out.push(v);
             cycle += 1;
         }
@@ -430,22 +331,27 @@ mod tests {
     #[test]
     fn ring_wraps_without_reordering() {
         // Exercise head wrap-around: fill, drain, refill repeatedly on a
-        // small ring and check FIFO order survives the wrap.
-        let mut w = Wire::new(3);
+        // small ring and check FIFO order survives the wrap. A second wire
+        // shares the channel arena, so a wrap that escaped its own slots
+        // would corrupt the neighbour.
+        let (mut pool, w) = wire(3);
+        let neighbour = pool.new_wire::<WBeat>(2);
+        pool.try_push(neighbour, 0, beat(99)).unwrap();
         let mut cycle = 0u64;
         let mut expect = 0u64;
         for round in 0..5u64 {
             for i in 0..3 {
-                w.try_push(cycle, round * 3 + i).unwrap();
+                pool.try_push(w, cycle, beat(round * 3 + i)).unwrap();
                 cycle += 1;
             }
             for _ in 0..3 {
-                assert_eq!(w.pop(cycle), Some(expect));
+                assert_eq!(pop(&mut pool, w, cycle), Some(expect));
                 expect += 1;
                 cycle += 1;
             }
-            assert!(w.is_empty());
+            assert!(pool.is_empty(w));
         }
-        assert_eq!(w.stats().total_pushed, 15);
+        assert_eq!(pool.stats(w).total_pushed, 15);
+        assert_eq!(pop(&mut pool, neighbour, cycle), Some(99));
     }
 }

@@ -3,8 +3,15 @@
 //! capacity, and one-beat-per-cycle throughput.
 
 use axi4::WBeat;
-use axi_sim::Wire;
+use axi_sim::{ChannelPool, WireId};
 use proptest::prelude::*;
+
+/// A fresh pool holding one W wire of `capacity`.
+fn one_wire(capacity: usize) -> (ChannelPool, WireId<WBeat>) {
+    let mut pool = ChannelPool::new();
+    let id = pool.new_wire(capacity);
+    (pool, id)
+}
 
 /// A random schedule of interleaved push/pop attempts over many cycles.
 fn arb_schedule() -> impl Strategy<Value = Vec<(bool, bool)>> {
@@ -16,17 +23,17 @@ proptest! {
     /// push/pop interleaving.
     #[test]
     fn fifo_order(schedule in arb_schedule(), capacity in 1usize..8) {
-        let mut wire = Wire::new(capacity);
+        let (mut pool, wire) = one_wire(capacity);
         let mut next_value = 0u64;
         let mut popped = Vec::new();
         for (cycle, &(try_push, try_pop)) in schedule.iter().enumerate() {
             let cycle = cycle as u64;
-            if try_push && wire.can_push(cycle) {
-                wire.try_push(cycle, WBeat::full(next_value, false)).expect("can_push checked");
+            if try_push && pool.can_push(wire, cycle) {
+                pool.try_push(wire, cycle, WBeat::full(next_value, false)).expect("can_push checked");
                 next_value += 1;
             }
             if try_pop {
-                if let Some(beat) = wire.pop(cycle) {
+                if let Some(beat) = pool.pop(wire, cycle) {
                     popped.push(beat.data);
                 }
             }
@@ -38,14 +45,14 @@ proptest! {
     /// An item is never observable in the cycle it was pushed.
     #[test]
     fn no_zero_cycle_hops(schedule in arb_schedule()) {
-        let mut wire = Wire::new(4);
+        let (mut pool, wire) = one_wire(4);
         for (cycle, &(try_push, try_pop)) in schedule.iter().enumerate() {
             let cycle = cycle as u64;
-            let was_empty = wire.is_empty();
-            if try_push && wire.can_push(cycle) {
-                wire.try_push(cycle, WBeat::full(cycle, false)).expect("can_push checked");
+            let was_empty = pool.is_empty(wire);
+            if try_push && pool.can_push(wire, cycle) {
+                pool.try_push(wire, cycle, WBeat::full(cycle, false)).expect("can_push checked");
                 if was_empty && try_pop {
-                    prop_assert!(wire.pop(cycle).is_none(), "cycle {} zero-hop", cycle);
+                    prop_assert!(pool.pop(wire, cycle).is_none(), "cycle {} zero-hop", cycle);
                 }
             }
         }
@@ -55,29 +62,29 @@ proptest! {
     /// honours the same bound.
     #[test]
     fn capacity_bound(schedule in arb_schedule(), capacity in 1usize..6) {
-        let mut wire = Wire::new(capacity);
+        let (mut pool, wire) = one_wire(capacity);
         for (cycle, &(try_push, try_pop)) in schedule.iter().enumerate() {
             let cycle = cycle as u64;
             if try_push {
-                let _ = wire.try_push(cycle, WBeat::full(0, false));
+                let _ = pool.try_push(wire, cycle, WBeat::full(0, false));
             }
             if try_pop {
-                let _ = wire.pop(cycle);
+                let _ = pool.pop(wire, cycle);
             }
-            prop_assert!(wire.len() <= capacity);
+            prop_assert!(pool.len(wire) <= capacity);
         }
-        prop_assert!(wire.stats().high_water <= capacity);
+        prop_assert!(pool.stats(wire).high_water <= capacity);
     }
 
     /// At most one push and one pop succeed per cycle, however many are
     /// attempted.
     #[test]
     fn one_beat_per_cycle(attempts in 2usize..6, cycles in 1u64..50) {
-        let mut wire = Wire::new(64);
+        let (mut pool, wire) = one_wire(64);
         for cycle in 0..cycles {
             let mut pushes = 0;
             for _ in 0..attempts {
-                if wire.try_push(cycle, WBeat::full(cycle, false)).is_ok() {
+                if pool.try_push(wire, cycle, WBeat::full(cycle, false)).is_ok() {
                     pushes += 1;
                 }
             }
@@ -88,7 +95,7 @@ proptest! {
         for cycle in cycles..cycles + 200 {
             let mut pops = 0;
             for _ in 0..attempts {
-                if wire.pop(cycle).is_some() {
+                if pool.pop(wire, cycle).is_some() {
                     pops += 1;
                 }
             }
@@ -101,17 +108,17 @@ proptest! {
     /// `total_pushed` counts exactly the accepted pushes.
     #[test]
     fn stats_count_pushes(schedule in arb_schedule()) {
-        let mut wire = Wire::new(3);
+        let (mut pool, wire) = one_wire(3);
         let mut accepted = 0u64;
         for (cycle, &(try_push, try_pop)) in schedule.iter().enumerate() {
             let cycle = cycle as u64;
-            if try_push && wire.try_push(cycle, WBeat::full(0, false)).is_ok() {
+            if try_push && pool.try_push(wire, cycle, WBeat::full(0, false)).is_ok() {
                 accepted += 1;
             }
             if try_pop {
-                let _ = wire.pop(cycle);
+                let _ = pool.pop(wire, cycle);
             }
         }
-        prop_assert_eq!(wire.stats().total_pushed, accepted);
+        prop_assert_eq!(pool.stats(wire).total_pushed, accepted);
     }
 }

@@ -643,27 +643,10 @@ impl Component for Crossbar {
         errors_pending.then_some(cycle)
     }
 
-    fn coverage(&self, map: &mut axi_sim::CoverageMap) {
-        // Arbiter-decision coverage: per manager port, grants won on each
-        // address channel, cycles spent losing arbitration, and decode
-        // errors taken. Keys are signature bits for the fuzz campaign —
-        // a seed that first makes manager 2 lose an AR grant, or first
-        // routes an unmapped address, lights up a new key.
-        for (m, stats) in self.stats.iter().enumerate() {
-            let prefix = format!("{}.m{m}", self.name);
-            map.add(format!("{prefix}.ar.win"), stats.ar_granted);
-            map.add(format!("{prefix}.aw.win"), stats.aw_granted);
-            map.add(format!("{prefix}.lose"), stats.blocked_cycles);
-            map.add(format!("{prefix}.decerr"), stats.decode_errors);
-        }
-        for (s, stalls) in self.w_stalls.iter().enumerate() {
-            map.add(format!("{}.s{s}.w.stall", self.name), *stalls);
-        }
-    }
-
     fn telemetry(&self, sink: &mut axi_sim::TelemetrySink) {
-        // Same signals as `coverage`, but as registered counters: zero
-        // rows stay visible, documenting every port the crossbar serves.
+        // Per manager port: grants won on each address channel, cycles
+        // spent losing arbitration, decode errors taken. Zero rows stay
+        // visible, documenting every port the crossbar serves.
         for (m, stats) in self.stats.iter().enumerate() {
             let prefix = format!("{}.m{m}", self.name);
             sink.counter(&format!("{prefix}.ar_grants"), stats.ar_granted);

@@ -111,7 +111,7 @@ fn corpus_replay_covers_the_checked_in_baseline() {
     let mut reached: BTreeSet<String> = BTreeSet::new();
     for (_, spec) in corpus() {
         let outcome = run_spec(&spec);
-        reached.extend(outcome.coverage.signature().iter().map(|k| k.to_string()));
+        reached.extend(outcome.coverage.keys().iter().cloned());
     }
     let missing: Vec<_> = baseline.difference(&reached).collect();
     assert!(

@@ -5,9 +5,10 @@
 use axi4::{
     Addr, ArBeat, AwBeat, BurstKind, BurstLen, BurstSize, Resp, SubordinateId, TxnId, WriteTxn,
 };
+use axi_conformance::ProtocolMonitor;
 use axi_mem::{MemoryConfig, MemoryModel};
 use axi_realm::{DesignConfig, RealmUnit, RuntimeConfig};
-use axi_sim::{vcd_dump, AxiBundle, BundleCapacity, Sim, TraceProbe};
+use axi_sim::{AxiBundle, BundleCapacity, Sim};
 use axi_traffic::{Op, ScriptedManager};
 use axi_xbar::{AddressMap, Crossbar};
 
@@ -123,19 +124,18 @@ fn heavy_injection_never_wedges() {
     assert!(sim.component::<RealmUnit>(realm).unwrap().is_drained());
 }
 
-/// The trace probe + VCD exporter observe a realm-regulated run end to end
-/// and produce a well-formed document.
+/// Protocol monitors on both sides of a REALM unit see its fragmentation:
+/// one 4-beat write upstream leaves the unit as two 2-beat bursts, every
+/// beat accounted for on both sides.
 #[test]
-fn vcd_of_a_regulated_run() {
+fn regulated_run_fragments_one_write_into_two() {
     let mut sim = Sim::new();
     let cap = BundleCapacity::uniform(4);
     let up = AxiBundle::new(sim.pool_mut(), cap);
     let down = AxiBundle::new(sim.pool_mut(), cap);
     let mem_port = AxiBundle::new(sim.pool_mut(), cap);
-    // Probes tick before the consumers they share wires with, so they see
-    // every beat before it is popped.
-    let up_probe = sim.add(TraceProbe::new(up, 256));
-    let down_probe = sim.add(TraceProbe::new(down, 256));
+    let up_mon = ProtocolMonitor::attach(&mut sim, "upstream", up);
+    let down_mon = ProtocolMonitor::attach(&mut sim, "downstream", down);
     let mgr = sim.add(ScriptedManager::new(
         up,
         vec![
@@ -161,26 +161,20 @@ fn vcd_of_a_regulated_run() {
         .is_done()));
     sim.run(5);
 
-    let up_p = sim.component::<TraceProbe>(up_probe).unwrap();
-    let down_p = sim.component::<TraceProbe>(down_probe).unwrap();
-    // The downstream side saw the *fragmented* traffic: more AW beats than
-    // upstream.
-    let up_aws = up_p.channel(axi_sim::TraceChannel::Aw).len();
-    let down_aws = down_p.channel(axi_sim::TraceChannel::Aw).len();
-    assert_eq!(up_aws, 1);
-    assert_eq!(down_aws, 2, "4 beats at granularity 2 = 2 fragments");
-
-    let doc = vcd_dump(&[("upstream", up_p), ("downstream", down_p)]);
-    assert!(doc.starts_with("$timescale"));
-    assert!(doc.contains("$scope module upstream $end"));
-    assert!(doc.contains("$scope module downstream $end"));
-    // Timestamps monotone.
-    let times: Vec<u64> = doc
-        .lines()
-        .filter_map(|l| l.strip_prefix('#'))
-        .map(|t| t.parse().expect("numeric timestamp"))
-        .collect();
-    let mut sorted = times.clone();
-    sorted.sort_unstable();
-    assert_eq!(times, sorted);
+    let counters = |id| {
+        let mon = sim.component::<ProtocolMonitor>(id).unwrap();
+        assert!(mon.is_clean(), "{:?}", mon.violations());
+        mon.counters()
+    };
+    let (up_c, down_c) = (counters(up_mon), counters(down_mon));
+    // The downstream side saw the *fragmented* traffic.
+    assert_eq!(up_c.aw_bursts, 1);
+    assert_eq!(
+        down_c.aw_bursts, 2,
+        "4 beats at granularity 2 = 2 fragments"
+    );
+    assert_eq!((up_c.w_beats, down_c.w_beats), (4, 4));
+    assert_eq!((up_c.b_resps, down_c.b_resps), (1, 2));
+    assert_eq!(up_c.ar_bursts, 1);
+    assert_eq!((up_c.r_beats, down_c.r_beats), (4, 4));
 }

@@ -8,7 +8,7 @@ use axi4::{Addr, ArBeat, AwBeat, BurstKind, BurstLen, BurstSize, SubordinateId, 
 use axi_conformance::ProtocolMonitor;
 use axi_mem::{MemoryConfig, MemoryModel};
 use axi_realm::{DesignConfig, RealmUnit, RegionConfig, RuntimeConfig};
-use axi_sim::{AxiBundle, BundleCapacity, Component, ComponentId, KernelMode, Sim, TraceProbe};
+use axi_sim::{AxiBundle, BundleCapacity, Component, ComponentId, KernelMode, Sim};
 use axi_traffic::{FuzzSpec, Op, ScriptedManager};
 use axi_xbar::{AddressMap, Crossbar};
 use cheshire_soc::{Testbench, TestbenchConfig};
@@ -17,14 +17,14 @@ use proptest::prelude::*;
 const MEM_BASE: Addr = Addr::new(0x8000_0000);
 const MEM_SIZE: u64 = 0x1_0000;
 
-/// A manager → REALM unit → memory rig with a beat probe on the upstream
+/// A manager → REALM unit → memory rig with pool taps on the upstream
 /// port: small enough to step cycle by cycle, rich enough to exercise
 /// fragmentation, budgets, periods, isolation, and idle stretches.
 struct Rig {
     sim: Sim,
     mgr: ComponentId,
     realm: ComponentId,
-    probe: ComponentId,
+    upstream: AxiBundle,
 }
 
 fn build_rig(script: Vec<Op>, frag_len: u16, budget: u64, period: u64) -> Rig {
@@ -53,26 +53,55 @@ fn build_rig(script: Vec<Op>, frag_len: u16, budget: u64, period: u64) -> Rig {
         MemoryConfig::spm(MEM_BASE, MEM_SIZE),
         downstream,
     ));
-    let probe = sim.add(TraceProbe::new(upstream, 4096));
+    let pool = sim.pool_mut();
+    pool.enable_tap(upstream.aw);
+    pool.enable_tap(upstream.w);
+    pool.enable_tap(upstream.b);
+    pool.enable_tap(upstream.ar);
+    pool.enable_tap(upstream.r);
     Rig {
         sim,
         mgr,
         realm,
-        probe,
+        upstream,
     }
 }
 
-/// Everything observable about a finished rig, in comparable form.
-fn observe(rig: &Rig) -> (u64, String, String, String, String) {
+/// Every `(push cycle, beat)` the upstream port carried, per channel in
+/// AW/W/B/AR/R order — drained from the pool taps, so nothing is capped
+/// or deduplicated.
+fn upstream_beats(rig: &mut Rig) -> [String; 5] {
+    fn drain<T: axi_sim::Channel + std::fmt::Debug>(
+        pool: &mut axi_sim::ChannelPool,
+        id: axi_sim::WireId<T>,
+    ) -> String {
+        let mut out = Vec::new();
+        pool.drain_tap(id, &mut out);
+        format!("{out:?}")
+    }
+    let up = rig.upstream;
+    let pool = rig.sim.pool_mut();
+    [
+        drain(pool, up.aw),
+        drain(pool, up.w),
+        drain(pool, up.b),
+        drain(pool, up.ar),
+        drain(pool, up.r),
+    ]
+}
+
+/// Everything observable about a finished rig, in comparable form. Drains
+/// the upstream taps, so call it once per run.
+fn observe(rig: &mut Rig) -> (u64, String, String, String, [String; 5]) {
+    let beats = upstream_beats(rig);
     let mgr = rig.sim.component::<ScriptedManager>(rig.mgr).expect("mgr");
     let realm = rig.sim.component::<RealmUnit>(rig.realm).expect("realm");
-    let probe = rig.sim.component::<TraceProbe>(rig.probe).expect("probe");
     (
         rig.sim.cycle(),
         format!("{:?}", mgr.completions()),
         format!("{:?}", realm.stats()),
         format!("{:?}", realm.monitor().regions()),
-        probe.dump(),
+        beats,
     )
 }
 
@@ -124,8 +153,8 @@ proptest! {
             slow.sim.step();
         }
 
-        let a = observe(&fast);
-        let b = observe(&slow);
+        let a = observe(&mut fast);
+        let b = observe(&mut slow);
         prop_assert_eq!(a.0, b.0, "final cycle");
         prop_assert_eq!(&a.1, &b.1, "manager completions");
         prop_assert_eq!(&a.2, &b.2, "realm stats");
@@ -399,7 +428,7 @@ fn isolation_trips_veto_batch_windows_and_match_stepping() {
     for _ in 0..CYCLES {
         slow.sim.step();
     }
-    assert_eq!(observe(&fast), observe(&slow));
+    assert_eq!(observe(&mut fast), observe(&mut slow));
     assert!(fast.sim.contract_violations().is_empty());
 
     let stats = fast
