@@ -219,6 +219,72 @@ mod tests {
         assert!(report.conservation[0].contains("unknown port name"));
     }
 
+    /// Pushes one R beat of ID 5 at cycle 3 and the AR of ID 5 it might
+    /// seem to answer at cycle 4 — a response a cycle before its request.
+    struct EarlyResponder {
+        bundle: AxiBundle,
+    }
+
+    impl axi_sim::Component for EarlyResponder {
+        fn tick(&mut self, ctx: &mut axi_sim::TickCtx<'_>) {
+            match ctx.cycle {
+                3 => ctx
+                    .pool
+                    .push(self.bundle.r, 3, RBeat::okay(TxnId::new(5), 0, true)),
+                4 => ctx.pool.push(self.bundle.ar, 4, ar(5, 0x1000, 1)),
+                _ => {}
+            }
+        }
+        fn ports(&self) -> Vec<axi_sim::PortDecl> {
+            use axi_sim::{PortDecl, PortDir};
+            vec![
+                PortDecl::new("AR", self.bundle.ar.index(), PortDir::Drive),
+                PortDecl::new("R", self.bundle.r.index(), PortDir::Drive),
+            ]
+        }
+    }
+
+    /// A monitor registered before its producers is folded over many
+    /// cycles at once, yet replays them in push-cycle order: the R beat
+    /// pushed a cycle before a same-ID AR is an orphan, which a replay of
+    /// whole channel buffers (AR before R) would hide. Registration order,
+    /// kernel and fold boundaries do not change the verdict.
+    #[test]
+    fn response_before_request_is_orphan_across_one_fold() {
+        let run = |monitor_first: bool, mode: axi_sim::KernelMode, stepped: bool| {
+            let mut sim = Sim::new();
+            sim.set_kernel_mode(mode);
+            let bundle = AxiBundle::with_defaults(sim.pool_mut());
+            let mon = monitor_first.then(|| ProtocolMonitor::attach(&mut sim, "p", bundle));
+            sim.add(EarlyResponder { bundle });
+            let mon = mon.unwrap_or_else(|| ProtocolMonitor::attach(&mut sim, "p", bundle));
+            if stepped {
+                (0..20).for_each(|_| sim.step());
+            } else {
+                sim.run(20);
+            }
+            let m = sim.component::<ProtocolMonitor>(mon).unwrap();
+            (m.violations().to_vec(), m.outstanding())
+        };
+        let (violations, outstanding) = run(true, axi_sim::KernelMode::Skip, false);
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        let v = &violations[0];
+        assert_eq!((v.rule, v.cycle, v.channel), (Rule::ROrphan, 3, "R"));
+        assert_eq!(v.id, Some(TxnId::new(5)));
+        assert_eq!(outstanding, 1, "the late AR stays outstanding");
+        for monitor_first in [true, false] {
+            for mode in [axi_sim::KernelMode::Skip, axi_sim::KernelMode::Step] {
+                for stepped in [false, true] {
+                    assert_eq!(
+                        run(monitor_first, mode, stepped),
+                        (violations.clone(), outstanding),
+                        "monitor_first={monitor_first} {mode:?} stepped={stepped}"
+                    );
+                }
+            }
+        }
+    }
+
     /// Rule::ALL covers each variant exactly once (mutation tests iterate
     /// it to prove per-rule coverage).
     #[test]

@@ -4,11 +4,15 @@
 //! beat accepted onto any of the port's five wires is delivered to the
 //! monitor exactly once, with its push cycle, regardless of component tick
 //! order, back-to-back identical payloads, or kernel fast-forward jumps.
-//! Taps fill at push time and pushes only happen in executed cycles, which
-//! the monitor always ticks in; a skip may leave beats parked on the wires,
-//! but those were pushed — and drained from the tap — before it. The
-//! monitor never pushes, pops, or peeks a wire, so attaching it cannot
-//! perturb simulated behaviour.
+//! Its state is a pure fold over those stamped tap records. It declares
+//! only `Observe` ports, so the kernel never ticks it per cycle: it folds
+//! the monitor between cycles whenever the pool's tap backlog reaches
+//! [`axi_sim::TAP_HIGH_WATER`], and whenever a run or a step returns. Each
+//! fold replays its records in push-cycle order, and within one cycle in
+//! causal channel order, so the fold boundaries never change the verdict.
+//! The monitor's state is therefore current between runs, though not
+//! inside a `run_until` predicate. The monitor never pushes, pops, or
+//! peeks a wire, so attaching it cannot perturb simulated behaviour.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
@@ -192,7 +196,7 @@ pub struct ProtocolMonitor {
     // outstanding read of its ID. Same-ID reordering by the interconnect
     // surfaces as RLAST misplacement.
     reads: BTreeMap<TxnId, VecDeque<ReadTrack>>,
-    // Scratch drain buffers, reused across ticks to avoid reallocating.
+    // Scratch drain buffers, reused across folds to avoid reallocating.
     aw_buf: Vec<(Cycle, AwBeat)>,
     w_buf: Vec<(Cycle, WBeat)>,
     b_buf: Vec<(Cycle, BBeat)>,
@@ -288,6 +292,20 @@ impl ProtocolMonitor {
         } else {
             self.violations_dropped += 1;
         }
+    }
+
+    /// The earliest push cycle among the records at positions `at` of the
+    /// AW, W, AR, B and R drain buffers; `Cycle::MAX` once all are
+    /// replayed (no simulation reaches that cycle).
+    fn next_cycle(&self, at: &[usize; 5]) -> Cycle {
+        fn head<T>(buf: &[(Cycle, T)], at: usize) -> Cycle {
+            buf.get(at).map_or(Cycle::MAX, |e| e.0)
+        }
+        head(&self.aw_buf, at[0])
+            .min(head(&self.w_buf, at[1]))
+            .min(head(&self.ar_buf, at[2]))
+            .min(head(&self.b_buf, at[3]))
+            .min(head(&self.r_buf, at[4]))
     }
 
     fn on_aw(&mut self, cycle: Cycle, beat: AwBeat) {
@@ -456,35 +474,44 @@ impl ProtocolMonitor {
 }
 
 impl Component for ProtocolMonitor {
+    /// The fold: drains the taps and replays the records as a merge, push
+    /// cycle first, then causal channel order within a cycle — requests
+    /// (AW, W, AR) before responses (B, R). No hop is zero-cycle, so a
+    /// response is pushed at least a cycle after its request and this
+    /// order is causal however many cycles one fold spans.
     fn tick(&mut self, ctx: &mut TickCtx<'_>) {
-        // Drain the taps, then replay in causal channel order: requests
-        // (AW, W, AR) before responses (B, R). A response can only share a
-        // drain batch with its own request, never precede it in one, so
-        // this order preserves causality.
         ctx.pool.drain_tap(self.bundle.aw, &mut self.aw_buf);
         ctx.pool.drain_tap(self.bundle.w, &mut self.w_buf);
         ctx.pool.drain_tap(self.bundle.ar, &mut self.ar_buf);
         ctx.pool.drain_tap(self.bundle.b, &mut self.b_buf);
         ctx.pool.drain_tap(self.bundle.r, &mut self.r_buf);
-        for i in 0..self.aw_buf.len() {
-            let (cycle, beat) = self.aw_buf[i];
-            self.on_aw(cycle, beat);
-        }
-        for i in 0..self.w_buf.len() {
-            let (cycle, beat) = self.w_buf[i];
-            self.on_w(cycle, beat);
-        }
-        for i in 0..self.ar_buf.len() {
-            let (cycle, beat) = self.ar_buf[i];
-            self.on_ar(cycle, beat);
-        }
-        for i in 0..self.b_buf.len() {
-            let (cycle, beat) = self.b_buf[i];
-            self.on_b(cycle, beat);
-        }
-        for i in 0..self.r_buf.len() {
-            let (cycle, beat) = self.r_buf[i];
-            self.on_r(cycle, beat);
+        // Replay positions in the AW, W, AR, B, R buffers.
+        let mut at = [0usize; 5];
+        loop {
+            let cycle = self.next_cycle(&at);
+            if cycle == Cycle::MAX {
+                break;
+            }
+            while let Some(&(c, beat)) = self.aw_buf.get(at[0]).filter(|e| e.0 == cycle) {
+                self.on_aw(c, beat);
+                at[0] += 1;
+            }
+            while let Some(&(c, beat)) = self.w_buf.get(at[1]).filter(|e| e.0 == cycle) {
+                self.on_w(c, beat);
+                at[1] += 1;
+            }
+            while let Some(&(c, beat)) = self.ar_buf.get(at[2]).filter(|e| e.0 == cycle) {
+                self.on_ar(c, beat);
+                at[2] += 1;
+            }
+            while let Some(&(c, beat)) = self.b_buf.get(at[3]).filter(|e| e.0 == cycle) {
+                self.on_b(c, beat);
+                at[3] += 1;
+            }
+            while let Some(&(c, beat)) = self.r_buf.get(at[4]).filter(|e| e.0 == cycle) {
+                self.on_r(c, beat);
+                at[4] += 1;
+            }
         }
         self.aw_buf.clear();
         self.w_buf.clear();
@@ -499,23 +526,6 @@ impl Component for ProtocolMonitor {
 
     fn ports(&self) -> Vec<axi_sim::PortDecl> {
         self.bundle.observer_ports()
-    }
-
-    // Purely reactive: taps only fill on pushes, a cycle with a push is
-    // never skipped, and the monitor ticks every executed cycle. The kernel
-    // may fast-forward with beats *parked* on the wires — e.g. through an
-    // isolation window — but parked beats were pushed earlier and thus
-    // already drained; silence on the taps is exactly what `None` promises
-    // to cover.
-    fn next_event(&self, _cycle: Cycle) -> Option<Cycle> {
-        None
-    }
-
-    // Same reasoning from the backlog side: an untaken beat parked on an
-    // observed wire never refills a tap, so queued input alone can never
-    // require a monitor tick.
-    fn backlog_event(&self, _cycle: Cycle) -> Option<Cycle> {
-        None
     }
 
     fn telemetry(&self, sink: &mut axi_sim::TelemetrySink) {

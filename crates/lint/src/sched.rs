@@ -6,8 +6,9 @@
 //! [`SystemModel`]'s combinational couplings — and builds the full
 //! intra-cycle dependence graph:
 //!
-//! - **wire edges** from `PortDecl`/`PortDir` (driver → consumer/observer,
-//!   one per shared wire),
+//! - **wire edges** from `PortDecl`/`PortDir` (driver → consumer, one per
+//!   shared wire; observers are folded between cycles, never scheduled
+//!   within one, so they sink no edge),
 //! - **couple edges** from out-of-band `Sim::couple` declarations
 //!   (source → dependent),
 //! - **comb edges** from the system model's declared zero-latency
@@ -27,8 +28,8 @@
 //! Three diagnostics police the couple declarations themselves: a couple
 //! duplicating an existing wire edge (`couple-redundant`), a couple whose
 //! removal would split an island (`couple-merges-islands`, with the exact
-//! edge to blame), and components that no dependence edge reaches at all
-//! (`dependence-unreachable`).
+//! edge to blame), and scheduled components that no dependence edge
+//! reaches at all (`dependence-unreachable`).
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
@@ -193,8 +194,8 @@ fn build_partition(topo: &Topology, model: &SystemModel) -> Partition {
     let n = topo.components.len();
     let names: Vec<String> = topo.components.iter().map(|c| c.name.clone()).collect();
 
-    // Wire edges: driver → consumer/observer per shared wire. BTreeMap
-    // keying makes the emission order deterministic (channel, then index).
+    // Wire edges: driver → consumer per shared wire. BTreeMap keying makes
+    // the emission order deterministic (channel, then index).
     let mut edges: Vec<DepEdge> = Vec::new();
     let mut by_wire: WireEndpoints<'_> = BTreeMap::new();
     for c in &topo.components {
@@ -202,7 +203,8 @@ fn build_partition(topo: &Topology, model: &SystemModel) -> Partition {
             let (drivers, sinks) = by_wire.entry((p.channel, p.wire)).or_default();
             let side = match p.dir {
                 PortDir::Drive => drivers,
-                PortDir::Consume | PortDir::Observe => sinks,
+                PortDir::Consume => sinks,
+                PortDir::Observe => continue,
             };
             if !side.contains(&c.index) {
                 side.push(c.index);
@@ -396,8 +398,9 @@ fn check_couple_merges_islands(topo: &Topology, report: &mut Report) {
     }
 }
 
-/// `dependence-unreachable`: a non-opaque component that no dependence
-/// edge of any kind touches. It can never exchange data with the rest of
+/// `dependence-unreachable`: a non-opaque component, other than an
+/// observer (which is never scheduled), that no dependence edge of any
+/// kind touches. It can never exchange data with the rest of
 /// the system and the evaluation schedule has nothing to order it
 /// against — almost always a component wired to the wrong bundle.
 /// Suppressed when fewer than two non-opaque components exist (a
@@ -414,7 +417,7 @@ fn check_dependence_unreachable(topo: &Topology, partition: &Partition, report: 
         connected[e.to] = true;
     }
     for c in &topo.components {
-        if !c.is_opaque() && !connected[c.index] {
+        if !c.is_opaque() && !c.is_observer() && !connected[c.index] {
             report.push(Diagnostic::new(
                 "dependence-unreachable",
                 Severity::Warning,
@@ -572,6 +575,42 @@ mod tests {
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].severity, Severity::Warning);
         assert_eq!(diags[0].path, "stray");
+    }
+
+    struct Watcher {
+        bundle: AxiBundle,
+    }
+    impl Component for Watcher {
+        fn tick(&mut self, _ctx: &mut TickCtx<'_>) {}
+        fn name(&self) -> &str {
+            "watcher"
+        }
+        fn ports(&self) -> Vec<PortDecl> {
+            self.bundle.observer_ports()
+        }
+    }
+
+    /// An observer is folded between cycles, never scheduled within one:
+    /// it sinks no wire edge, and having none is not a finding. It still
+    /// shares the island of the port it watches.
+    #[test]
+    fn observers_sink_no_edge() {
+        let mut sim = Sim::new();
+        let bundle = AxiBundle::with_defaults(sim.pool_mut());
+        sim.add(Watcher { bundle });
+        sim.add(Mgr {
+            bundle,
+            name: "mgr",
+        });
+        sim.add(Sub {
+            bundle,
+            name: "sub",
+        });
+        let (p, report) = analyze_deps(&sim.topology(), &SystemModel::new());
+        assert_eq!(p.edge_count(DepEdgeKind::Wire), 5, "mgr<->sub only");
+        assert!(p.edges.iter().all(|e| e.from != 0 && e.to != 0));
+        assert!(report.diagnostics().is_empty(), "{report:?}");
+        assert_eq!(p.islands, vec![vec![0, 1, 2]]);
     }
 
     #[test]

@@ -27,8 +27,26 @@ pub struct TickCtx<'a> {
 /// The `Any` supertrait lets a [`Sim`](crate::Sim) hand back concrete
 /// component references for post-run inspection via
 /// [`Sim::component`](crate::Sim::component).
+///
+/// # Observers
+///
+/// A component whose [`Component::ports`] are all
+/// [`PortDir::Observe`](crate::PortDir::Observe) is an *observer* (the
+/// rule [`TopoComponent::is_observer`](crate::TopoComponent::is_observer)
+/// applies). The kernel never ticks an observer per cycle and never asks
+/// it for a hint. Its `tick` is a *fold*, called between cycles: when the
+/// pool's undrained tap records reach
+/// [`TAP_HIGH_WATER`](crate::TAP_HIGH_WATER), when a run returns, and
+/// after each [`Sim::step`](crate::Sim::step). A fold may only drain the
+/// taps of the wires it observes (see
+/// [`ChannelPool::drain_tap`](crate::ChannelPool::drain_tap)); the
+/// records carry their push cycles, so the fold can replay them in order.
+/// `ctx.cycle` is the first cycle not yet executed. An observer's state
+/// is current between runs, but not inside a
+/// [`Sim::run_until`](crate::Sim::run_until) predicate.
 pub trait Component: Any {
-    /// Advances the component by one clock cycle.
+    /// Advances the component by one clock cycle — or, for an observer,
+    /// folds it over the tap records pushed since its last fold.
     fn tick(&mut self, ctx: &mut TickCtx<'_>);
 
     /// A short human-readable instance name for traces and diagnostics.

@@ -4,8 +4,9 @@
 //! on: clock cycles and beat-level channel handshakes. Its semantics are:
 //!
 //! - Time advances in integer clock cycles. Every [`Component`] is ticked
-//!   once per executed cycle; the run methods skip stretches in which no
-//!   component can change state (see [`Sim`]).
+//!   once per executed cycle, except passive observers, which are folded
+//!   over their tap records in batches; the run methods skip stretches in
+//!   which no component can change state (see [`Sim`]).
 //! - Channels are bounded FIFO wires owned by a [`ChannelPool`]. An item
 //!   pushed at cycle *t* becomes visible to consumers at *t + 1* ("register
 //!   per hop"), so results do not depend on the order components are ticked
@@ -55,7 +56,7 @@ pub use component::{Component, TickCtx};
 pub use pool::{Channel, ChannelPool, PushRefusal, SanitizerKind, WireActivity, WireId};
 pub use sim::{
     ComponentId, ComponentProfile, ContractViolation, KernelMode, KernelStats, SanitizerViolation,
-    Sim, ViolationKind,
+    Sim, ViolationKind, TAP_HIGH_WATER,
 };
 pub use topology::{PortDecl, PortDir, TopoComponent, TopoWire, Topology};
 pub use wire::{PushError, WireStats};

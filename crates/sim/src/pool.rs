@@ -266,6 +266,9 @@ pub struct ChannelPool {
     // Beats ever taken off any wire; with `total_pushed` it tells the
     // kernel in O(1) whether a cycle moved anything.
     total_popped: u64,
+    // Tap records pushed but not yet drained, across every tap, so the
+    // kernel's fold trigger is O(1).
+    tap_backlog: u64,
     // Registration index of the component currently being ticked, stamped
     // by the kernel so refusals can name their culprit.
     owner: Option<usize>,
@@ -344,6 +347,7 @@ impl ChannelPool {
         lane.arena[slot] = Some((cycle, beat));
         if let Some(tap) = &mut lane.taps[id.index] {
             tap.push((cycle, beat));
+            self.tap_backlog += 1;
         }
         self.in_flight += 1;
         self.total_pushed += 1;
@@ -373,8 +377,17 @@ impl ChannelPool {
     /// oldest first. No-op on an untapped wire.
     pub fn drain_tap<T: Channel>(&mut self, id: WireId<T>, out: &mut Vec<(Cycle, T)>) {
         if let Some(tap) = &mut T::lane_mut(self).taps[id.index] {
+            let drained = tap.len() as u64;
             out.append(tap);
+            self.tap_backlog -= drained;
         }
+    }
+
+    /// Tap records pushed but not yet drained, summed over every tapped
+    /// wire (O(1)). The kernel folds its observers when this reaches
+    /// [`TAP_HIGH_WATER`](crate::TAP_HIGH_WATER).
+    pub fn tap_backlog(&self) -> u64 {
+        self.tap_backlog
     }
 
     /// Stamps the component whose tick is currently executing (kernel use;
@@ -706,10 +719,13 @@ mod tests {
         pool.enable_tap(a);
         pool.push(a, 0, WBeat::full(1, false));
         pool.push(b, 0, WBeat::full(2, false));
+        pool.push(a, 1, WBeat::full(3, false));
+        assert_eq!(pool.tap_backlog(), 2, "only the tapped wire counts");
         let mut out = Vec::new();
         pool.drain_tap(a, &mut out);
         pool.drain_tap(b, &mut out); // untapped: contributes nothing
-        assert_eq!(out.len(), 1);
+        assert_eq!(pool.tap_backlog(), 0);
+        assert_eq!(out.len(), 2);
         assert_eq!(out[0].0, 0);
         assert_eq!(out[0].1.data, 1);
     }

@@ -3,13 +3,18 @@
 //! One kernel drives [`Sim::run`], [`Sim::run_until`] and
 //! [`Sim::run_until_clamped`]: every executed cycle ticks every component
 //! once, in registration order, exactly like the reference
-//! [`Sim::step`]. On top of that it skips idle time for the whole system
-//! at once. After a *quiet* cycle — no wire push, no wire pop, and no
+//! [`Sim::step`]. Observers — components whose every port is
+//! [`PortDir::Observe`] — are the exception: they are never ticked per
+//! cycle, only folded over their tap records in batches (see
+//! [`TAP_HIGH_WATER`] and the observer contract on [`Component`]).
+//!
+//! On top of that the kernel skips idle time for the whole system at once.
+//! After a *quiet* cycle — no wire push, no wire pop, and no
 //! [`Sim::couple`] write that an earlier-registered dependent still has to
-//! see — it asks every component for its [`Component::next_event`] hint
-//! (and, when the component holds input backlog, its
-//! [`Component::backlog_event`] hint) and jumps straight to the earliest
-//! one, bounded by the run target and the clamp. Elided ticks are
+//! see — it asks every ticked component for its
+//! [`Component::next_event`] hint (and, when the component holds input
+//! backlog, its [`Component::backlog_event`] hint) and jumps straight to
+//! the earliest one, bounded by the run target and the clamp. Elided ticks are
 //! reconciled per component through [`Component::on_fast_forward`].
 //!
 //! Skipping is exact: a quiet cycle leaves every wire as it was, so each
@@ -30,8 +35,15 @@ use crate::pool::{
 };
 
 use crate::component::{Component, TickCtx};
-use crate::topology::PortDir;
+use crate::topology::{observes_only, PortDir};
 use crate::Cycle;
+
+/// Undrained tap records (summed over every tap, see
+/// [`ChannelPool::tap_backlog`]) at which the kernel folds its observers
+/// mid-run. Checked once per executed cycle, so the backlog never exceeds
+/// this mark plus one cycle's pushes. Runs and [`Sim::step`] also fold on
+/// exit, so observer state is current between runs whatever the mark.
+pub const TAP_HIGH_WATER: u64 = 1024;
 
 /// Handle to a component registered with a [`Sim`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -54,10 +66,13 @@ pub struct KernelStats {
     pub cycles_skipped: u64,
     /// Number of fast-forward jumps taken.
     pub fast_forwards: u64,
-    /// Individual `Component::tick` calls across all executed cycles.
+    /// Per-cycle `Component::tick` calls across all executed cycles.
+    /// Observers are never ticked per cycle, so their folds are not
+    /// counted here.
     pub component_ticks: u64,
     /// Component-cycles elided by skipping. The invariant
-    /// `component_ticks + component_skips == cycles_total() * n_components`
+    /// `component_ticks + component_skips == cycles_total() * n_ticked`,
+    /// where `n_ticked` counts the components that are not observers,
     /// holds for a run over a fixed set of components.
     pub component_skips: u64,
 }
@@ -78,9 +93,11 @@ pub struct ComponentProfile {
     pub index: usize,
     /// Its [`Component::name`].
     pub name: String,
-    /// `tick` calls executed for this component.
+    /// Per-cycle `tick` calls executed for this component (always 0 for an
+    /// observer, which is only ever folded).
     pub visits: u64,
-    /// Wall-clock nanoseconds spent inside this component's ticks. Always 0
+    /// Wall-clock nanoseconds spent inside this component's ticks (an
+    /// observer's: inside its folds). Always 0
     /// unless `axi-sim` is built with the `self-profile` feature — the
     /// clock reads do not exist in a default build, keeping the simulator
     /// free of wall-time (and `detlint`-clean by construction).
@@ -259,9 +276,10 @@ struct Wiring {
     /// backlog is any beat anywhere in the pool.
     consume: Vec<Option<Vec<(usize, usize)>>>,
     /// Sources of a couple whose dependent is registered before them, in
-    /// registration order: the dependent has already ticked when the
-    /// source writes, so it sees the write one cycle later.
-    backward_sources: Vec<usize>,
+    /// registration order, as `(position in Sim::ticked, index)`: the
+    /// dependent has already ticked when the source writes, so it sees the
+    /// write one cycle later.
+    backward_sources: Vec<(usize, usize)>,
     /// Per component: every wire it declares as `(slot, wire)` (empty for
     /// an opaque component).
     source_wires: Vec<Vec<(usize, usize)>>,
@@ -274,9 +292,11 @@ struct Wiring {
 /// A cycle-accurate simulator: a [`ChannelPool`] plus an ordered list of
 /// components.
 ///
-/// Every executed cycle ticks every component in registration order. The
-/// run methods additionally jump over idle stretches: after a quiet cycle
-/// (no push, no pop, no pending coupled write) the whole system skips to
+/// Every executed cycle ticks every component in registration order,
+/// except observers, which are folded over their tap records in batches
+/// instead. The run methods additionally jump over idle stretches: after
+/// a quiet cycle (no push, no pop, no pending coupled write) the whole
+/// system skips to
 /// the earliest [`Component::next_event`] / [`Component::backlog_event`]
 /// hint. Skipping is exact — elided ticks are provable no-ops under the
 /// hint contract, and components reconcile time-proportional counters in
@@ -302,6 +322,11 @@ struct Wiring {
 pub struct Sim {
     pool: ChannelPool,
     components: Vec<Box<dyn Component>>,
+    /// Registration indices of the components ticked every executed cycle
+    /// (every one but the observers), in registration order.
+    ticked: Vec<usize>,
+    /// Registration indices of the observers, folded instead of ticked.
+    observers: Vec<usize>,
     cycle: Cycle,
     stats: KernelStats,
     mode: KernelMode,
@@ -314,8 +339,8 @@ pub struct Sim {
     couples: Vec<(usize, usize)>,
     couple_set: BTreeSet<(usize, usize)>,
     wiring: Wiring,
-    /// Component whose hint blocked the last skip attempt. The next attempt
-    /// asks it first: in a stretch with no wire traffic but a busy
+    /// Position in `ticked` of the component whose hint blocked the last
+    /// skip attempt. The next attempt asks it first: in a stretch with no wire traffic but a busy
     /// component it is usually still due, which makes the failed attempt
     /// one hint call instead of `n`.
     blocker: usize,
@@ -351,6 +376,8 @@ impl Sim {
         Self {
             pool: ChannelPool::new(),
             components: Vec::new(),
+            ticked: Vec::new(),
+            observers: Vec::new(),
             cycle: 0,
             stats: KernelStats::default(),
             mode: KernelMode::from_env(),
@@ -382,6 +409,8 @@ impl Sim {
     }
 
     /// Registers a component; components are ticked in registration order.
+    /// A component whose ports are all [`PortDir::Observe`] is an observer:
+    /// folded over its tap records, never ticked per cycle.
     pub fn add<C: Component>(&mut self, component: C) -> ComponentId {
         self.components.push(Box::new(component));
         self.synced_to.push(self.cycle);
@@ -587,35 +616,81 @@ impl Sim {
     }
 
     /// Advances the simulation by one cycle, ticking every component once
-    /// (the reference kernel). Interleaves exactly with skipping runs:
-    /// components a previous run left fast-forwarded are reconciled here.
+    /// (the reference kernel), then folds the observers. Interleaves
+    /// exactly with skipping runs: components a previous run left
+    /// fast-forwarded are reconciled here.
     pub fn step(&mut self) {
+        self.classify_new();
         self.ensure_sanitizer();
-        self.tick_range(0, self.components.len());
+        self.step_cycle();
+        self.fold_observers();
+    }
+
+    /// Sorts the components registered since the last advance into ticked
+    /// components and observers (from their port declarations, read once
+    /// here rather than at registration, which keeps elaboration cheap).
+    fn classify_new(&mut self) {
+        for index in self.ticked.len() + self.observers.len()..self.components.len() {
+            if observes_only(&self.components[index].ports()) {
+                self.observers.push(index);
+            } else {
+                self.ticked.push(index);
+            }
+        }
+    }
+
+    /// Executes one cycle of the reference kernel without the exit fold.
+    fn step_cycle(&mut self) {
+        self.tick_range(0, self.ticked.len());
         self.finish_cycle();
     }
 
-    /// Ticks components `from..to`, in registration order, at the current
-    /// cycle. Kept out of line so that [`Sim::step`] and the skipping
-    /// kernel share one copy of the hot loop.
+    /// Ticks the components at positions `from..to` of `ticked`, in
+    /// registration order, at the current cycle. Kept out of line so that
+    /// [`Sim::step`] and the skipping kernel share one copy of the hot
+    /// loop.
     #[inline(never)]
     fn tick_range(&mut self, from: usize, to: usize) {
         let cycle = self.cycle;
-        for index in from..to {
-            self.tick_component(index, cycle);
+        for at in from..to {
+            self.tick_component(self.ticked[at], cycle);
         }
+    }
+
+    /// Folds every observer over the tap records pushed since its last
+    /// fold, by calling its `tick` between cycles. A no-op while no tap
+    /// record is pending. The pool owner is stamped with the observer's
+    /// index, so the armed sanitizer still attributes a push or pop an
+    /// observer makes.
+    fn fold_observers(&mut self) {
+        if self.observers.is_empty() || self.pool.tap_backlog() == 0 {
+            return;
+        }
+        let cycle = self.cycle;
+        for k in 0..self.observers.len() {
+            self.call_tick(self.observers[k], cycle);
+        }
+        self.pool.set_owner(None);
+        self.drain_sanitizer();
     }
 
     /// Reconciles and ticks one component at `cycle`.
     fn tick_component(&mut self, index: usize, cycle: Cycle) {
         self.flush_component(index, cycle);
         self.synced_to[index] = cycle + 1;
+        self.profile[index].visits += 1;
+        self.call_tick(index, cycle);
+    }
+
+    /// Calls component `index`'s `tick` at `cycle` with the pool owner
+    /// stamped, attributing its wall time under `self-profile`.
+    #[inline(always)]
+    fn call_tick(&mut self, index: usize, cycle: Cycle) {
         self.pool.set_owner(Some(index));
         let mut ctx = TickCtx {
             cycle,
             pool: &mut self.pool,
         };
-        self.profile[index].visits += 1;
         #[cfg(feature = "self-profile")]
         let t0 = std::time::Instant::now(); // lint:allow(wall-clock) -- self-profiler, feature-gated
         self.components[index].tick(&mut ctx);
@@ -626,12 +701,16 @@ impl Sim {
     }
 
     /// Closes an executed cycle: clears the tick owner, advances the clock
-    /// and the counters, and resolves sanitizer hits.
+    /// and the counters, folds the observers once the tap backlog reaches
+    /// [`TAP_HIGH_WATER`], and resolves sanitizer hits.
     fn finish_cycle(&mut self) {
         self.pool.set_owner(None);
         self.cycle += 1;
         self.stats.ticks_executed += 1;
-        self.stats.component_ticks += self.components.len() as u64;
+        self.stats.component_ticks += self.ticked.len() as u64;
+        if self.pool.tap_backlog() >= TAP_HIGH_WATER {
+            self.fold_observers();
+        }
         self.drain_sanitizer();
     }
 
@@ -731,8 +810,9 @@ impl Sim {
     /// `true` if the predicate fired.
     ///
     /// The predicate sees the simulator between advances, so it can inspect
-    /// components and wires. Idle stretches are fast-forwarded, so the
-    /// predicate is evaluated per executed cycle or jump, not per skipped
+    /// components and wires — but not observers, which are folded only in
+    /// batches and when the run returns. Idle stretches are
+    /// fast-forwarded, so the predicate is evaluated per executed cycle or jump, not per skipped
     /// cycle — component state cannot change inside a skipped stretch, so
     /// no predicate flank is missed, though a predicate watching
     /// [`Sim::cycle`] itself may observe a jump past its threshold. Use
@@ -763,6 +843,7 @@ impl Sim {
     ) -> bool {
         let target = self.cycle + max_cycles;
         let skip = self.mode == KernelMode::Skip;
+        self.classify_new();
         if skip {
             self.ensure_wiring();
         }
@@ -780,6 +861,7 @@ impl Sim {
                 // the state a stepped run would show at this cycle.
                 self.flush_all(self.cycle);
                 if done(self) {
+                    self.fold_observers();
                     return true;
                 }
             }
@@ -787,7 +869,7 @@ impl Sim {
                 break;
             }
             if !skip {
-                self.step();
+                self.step_cycle();
                 continue;
             }
             if std::mem::take(&mut quiet) {
@@ -809,15 +891,16 @@ impl Sim {
             settled = true;
         }
         self.flush_all(self.cycle);
+        self.fold_observers();
         match done {
             Some(done) => done(self),
             None => false,
         }
     }
 
-    /// Executes one cycle, ticking every component in registration order,
-    /// and reports whether it was quiet: no wire moved a beat, and no
-    /// backward couple source may have written shared state its dependent
+    /// Executes one cycle, ticking every non-observer in registration
+    /// order, and reports whether it was quiet: no wire moved a beat, and
+    /// no backward couple source may have written shared state its dependent
     /// has yet to see. `settled` is `false` for a run's first cycle, which
     /// is never quiet.
     ///
@@ -830,14 +913,14 @@ impl Sim {
         let mut quiet = settled;
         let mut from = 0;
         for k in 0..self.wiring.backward_sources.len() {
-            let source = self.wiring.backward_sources[k];
-            self.tick_range(from, source);
-            from = source;
+            let (at, source) = self.wiring.backward_sources[k];
+            self.tick_range(from, at);
+            from = at;
             if quiet && (self.pool.moves() != start || self.source_due(source, self.cycle)) {
                 quiet = false;
             }
         }
-        self.tick_range(from, self.components.len());
+        self.tick_range(from, self.ticked.len());
         self.finish_cycle();
         quiet && self.pool.moves() == start
     }
@@ -903,22 +986,24 @@ impl Sim {
         }
     }
 
-    /// The earliest cycle `>= self.cycle` at which any component may have
-    /// work, from every component's hint. Returns `self.cycle` as soon as
-    /// one component is due now, starting with the one that was due at the
+    /// The earliest cycle `>= self.cycle` at which any ticked component
+    /// may have work, from every such component's hint (observers have no
+    /// per-cycle work to wake). Returns `self.cycle` as soon as one
+    /// component is due now, starting with the one that was due at the
     /// last attempt.
     fn next_wake(&mut self) -> Cycle {
-        let n = self.components.len();
+        let n = self.ticked.len();
         let now = self.cycle;
         if self.blocker >= n {
             self.blocker = 0;
         }
         let mut earliest = NEVER;
         for k in 0..n {
-            let i = (self.blocker + k) % n;
+            let at = (self.blocker + k) % n;
+            let i = self.ticked[at];
             let hint = self.hint(i);
             if hint <= now {
-                self.blocker = i;
+                self.blocker = at;
                 return now;
             }
             self.hints[i] = hint;
@@ -934,11 +1019,12 @@ impl Sim {
     fn skip_to(&mut self, to: Cycle) {
         let skipped = to - self.cycle;
         self.stats.cycles_skipped += skipped;
-        self.stats.component_skips += skipped * self.components.len() as u64;
+        self.stats.component_skips += skipped * self.ticked.len() as u64;
         self.stats.fast_forwards += 1;
         self.cycle = to;
         if cfg!(debug_assertions) || self.sanitize {
-            for i in 0..self.components.len() {
+            for k in 0..self.ticked.len() {
+                let i = self.ticked[k];
                 if self.hints[i] <= to {
                     continue;
                 }
@@ -992,12 +1078,16 @@ impl Sim {
             consume.push((!ports.is_empty()).then_some(inputs));
             declared.push(all);
         }
+        // An observer never ticks inside a cycle, so as a couple source it
+        // writes nothing a dependent could see late.
         let mut backward_sources = BTreeSet::new();
         let mut dependent = vec![false; n];
         for &(source, dep) in &self.couples {
             dependent[dep] = true;
             if dep < source {
-                backward_sources.insert(source);
+                if let Ok(at) = self.ticked.binary_search(&source) {
+                    backward_sources.insert((at, source));
+                }
             }
         }
         self.wiring = Wiring {
@@ -1018,10 +1108,10 @@ impl Sim {
         }
     }
 
-    /// Reconciles every component up to (excluding) `to`.
+    /// Reconciles every ticked component up to (excluding) `to`.
     fn flush_all(&mut self, to: Cycle) {
-        for index in 0..self.components.len() {
-            self.flush_component(index, to);
+        for k in 0..self.ticked.len() {
+            self.flush_component(self.ticked[k], to);
         }
     }
 
@@ -1195,7 +1285,39 @@ mod tests {
         assert!(s.contains("components: 2"));
     }
 
-    /// Skipping and stepping accounting both cover every cycle.
+    /// A passive observer of one W wire: each fold drains the wire's tap
+    /// and counts the beats.
+    struct Tally {
+        wire: WireId<WBeat>,
+        buf: Vec<(Cycle, WBeat)>,
+        seen: Vec<u64>,
+    }
+
+    impl Tally {
+        fn attach(sim: &mut Sim, wire: WireId<WBeat>) -> ComponentId {
+            sim.pool_mut().enable_tap(wire);
+            sim.add(Tally {
+                wire,
+                buf: Vec::new(),
+                seen: Vec::new(),
+            })
+        }
+    }
+
+    impl Component for Tally {
+        fn tick(&mut self, ctx: &mut TickCtx<'_>) {
+            ctx.pool.drain_tap(self.wire, &mut self.buf);
+            self.seen
+                .extend(self.buf.drain(..).map(|(_, beat)| beat.data));
+        }
+        fn ports(&self) -> Vec<PortDecl> {
+            vec![PortDecl::new("W", self.wire.index(), PortDir::Observe)]
+        }
+    }
+
+    /// Skipping and stepping accounting both cover every cycle, counting
+    /// only the components that are ticked: an observer is folded, never
+    /// ticked or skipped.
     #[test]
     fn component_tick_accounting_is_exhaustive() {
         let (mut sim, ..) = build();
@@ -1212,6 +1334,52 @@ mod tests {
         assert_eq!(s.cycles_skipped, 0);
         assert_eq!(s.component_ticks, 50 * 2);
         assert_eq!(s.component_skips, 0);
+
+        for mode in [KernelMode::Skip, KernelMode::Step] {
+            let mut sim = Sim::new();
+            sim.set_kernel_mode(mode);
+            let wire = sim.pool_mut().new_wire::<WBeat>(2);
+            let tally = Tally::attach(&mut sim, wire);
+            sim.add(Producer {
+                out: wire,
+                sent: 0,
+                limit: 5,
+            });
+            sim.add(Consumer {
+                input: wire,
+                received: Vec::new(),
+            });
+            sim.run(50);
+            let s = sim.kernel_stats();
+            assert_eq!(s.cycles_total(), 50);
+            assert_eq!(s.component_ticks + s.component_skips, 50 * 2, "{mode:?}");
+            assert_eq!(sim.profile()[tally.index()].visits, 0, "{mode:?}");
+            let seen = &sim.component::<Tally>(tally).unwrap().seen;
+            assert_eq!(seen, &[0, 1, 2, 3, 4], "folded on exit under {mode:?}");
+        }
+    }
+
+    /// An observer is folded after every public step, so stepping by hand
+    /// sees it current after each cycle.
+    #[test]
+    fn step_folds_observers() {
+        let mut sim = Sim::new();
+        let wire = sim.pool_mut().new_wire::<WBeat>(2);
+        sim.add(Producer {
+            out: wire,
+            sent: 0,
+            limit: 3,
+        });
+        let tally = Tally::attach(&mut sim, wire);
+        sim.add(Consumer {
+            input: wire,
+            received: Vec::new(),
+        });
+        for expected in [1, 2, 3, 3] {
+            sim.step();
+            assert_eq!(sim.component::<Tally>(tally).unwrap().seen.len(), expected);
+            assert_eq!(sim.pool().tap_backlog(), 0);
+        }
     }
 
     /// Mixed driving — explicit steps between skipping runs — stays
@@ -1559,6 +1727,62 @@ mod tests {
         assert!(violations
             .iter()
             .any(|v| v.kind == ViolationKind::StaleHint));
+    }
+
+    /// An observer that breaks the observer contract: its fold pushes onto
+    /// the wire it only declares to observe. The pool owner is stamped
+    /// with the observer during the fold, so the armed sanitizer still
+    /// attributes the push to it.
+    #[test]
+    fn sanitizer_attributes_observer_folds() {
+        struct Meddler {
+            wire: WireId<WBeat>,
+            buf: Vec<(Cycle, WBeat)>,
+        }
+        impl Component for Meddler {
+            fn tick(&mut self, ctx: &mut TickCtx<'_>) {
+                ctx.pool.drain_tap(self.wire, &mut self.buf);
+                self.buf.clear();
+                if ctx.pool.can_push(self.wire, ctx.cycle) {
+                    ctx.pool.push(self.wire, ctx.cycle, WBeat::full(99, true));
+                }
+            }
+            fn name(&self) -> &str {
+                "meddler"
+            }
+            fn ports(&self) -> Vec<PortDecl> {
+                vec![PortDecl::new("W", self.wire.index(), PortDir::Observe)]
+            }
+        }
+        let mut sim = Sim::new();
+        sim.set_sanitize(true);
+        let wire = sim.pool_mut().new_wire::<WBeat>(2);
+        sim.add(Producer {
+            out: wire,
+            sent: 0,
+            limit: 2,
+        });
+        sim.add(Consumer {
+            input: wire,
+            received: Vec::new(),
+        });
+        sim.pool_mut().enable_tap(wire);
+        let meddler = sim.add(Meddler {
+            wire,
+            buf: Vec::new(),
+        });
+        sim.run(10);
+        let violations = sim.sanitizer_violations();
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        let v = &violations[0];
+        assert_eq!(v.kind, SanitizerKind::UndeclaredPush);
+        assert_eq!((v.component, v.name.as_str()), (meddler.index(), "meddler"));
+        assert_eq!(v.cycle, 10, "folded when the run returned");
+        assert_eq!(
+            sim.profile()[meddler.index()].visits,
+            0,
+            "never ticked per cycle"
+        );
     }
 
     /// Two producer/consumer pairs on disjoint wires: in registration order

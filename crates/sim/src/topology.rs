@@ -19,8 +19,10 @@ pub enum PortDir {
     Drive,
     /// The component pops beats off the wire.
     Consume,
-    /// The component only peeks or taps the wire (passive monitor);
-    /// it neither sources nor sinks beats.
+    /// The component only taps the wire (passive monitor); it neither
+    /// sources nor sinks beats. A component whose every port is `Observe`
+    /// is an *observer*: the kernel never ticks it per cycle, only folds it
+    /// over its tap records (see [`Component`]).
     Observe,
 }
 
@@ -68,8 +70,13 @@ impl TopoComponent {
 
     /// Returns `true` if the component only observes (no drive/consume).
     pub fn is_observer(&self) -> bool {
-        !self.ports.is_empty() && self.ports.iter().all(|p| p.dir == PortDir::Observe)
+        observes_only(&self.ports)
     }
+}
+
+/// The observer rule: ports declared, and every one [`PortDir::Observe`].
+pub(crate) fn observes_only(ports: &[PortDecl]) -> bool {
+    !ports.is_empty() && ports.iter().all(|p| p.dir == PortDir::Observe)
 }
 
 /// One wire's row in a [`Topology`]: identity plus queue capacity.

@@ -4,7 +4,10 @@
 //! same component states, same beat-level traces, same final cycle. Only
 //! the executed-tick/skipped-cycle split may differ.
 
-use axi4::{Addr, ArBeat, AwBeat, BurstKind, BurstLen, BurstSize, SubordinateId, TxnId, WriteTxn};
+use axi4::{
+    Addr, ArBeat, AwBeat, BBeat, BurstKind, BurstLen, BurstSize, RBeat, SubordinateId, TxnId,
+    WBeat, WriteTxn,
+};
 use axi_conformance::ProtocolMonitor;
 use axi_mem::{MemoryConfig, MemoryModel};
 use axi_realm::{DesignConfig, RealmUnit, RegionConfig, RuntimeConfig};
@@ -629,4 +632,224 @@ fn sparse_regulated_isolation_matches_stepping() {
         stats.cycles_skipped * 10 > stats.cycles_total() * 8,
         "most cycles must be skipped: {stats:?}"
     );
+}
+
+/// A monitor's full verdict, in comparable form: counters, exact per-rule
+/// hits, retained and dropped violations, outstanding transactions.
+fn monitor_state(sim: &Sim, id: ComponentId) -> String {
+    let mon = sim.component::<ProtocolMonitor>(id).expect("monitor");
+    format!(
+        "{} {:?} {:?} {:?} dropped={} outstanding={}",
+        mon.name(),
+        mon.counters(),
+        mon.rule_hits(),
+        mon.violations(),
+        mon.violations_dropped(),
+        mon.outstanding()
+    )
+}
+
+/// A `run_until` whose predicate fires returns with every monitor folded
+/// over everything pushed before the stop cycle: the monitors read
+/// exactly as in a run stepped by hand to that cycle.
+#[test]
+fn predicate_exit_leaves_monitors_folded() {
+    let spec = FuzzSpec::new(MEM_BASE, MEM_SIZE)
+        .with_ops(24)
+        .with_max_beats(16);
+    let scripts = || [spec.generate(5), spec.generate(6)];
+    let mut fast = build_contended_rig(scripts(), 4, 1024, 600);
+    let mgr = fast.mgrs[0];
+    let fired = fast.sim.run_until(100_000, |s| {
+        s.component::<ScriptedManager>(mgr)
+            .expect("mgr")
+            .completions()
+            .len()
+            >= 10
+    });
+    assert!(fired);
+    let stop = fast.sim.cycle();
+
+    let mut slow = build_contended_rig(scripts(), 4, 1024, 600);
+    for _ in 0..stop {
+        slow.sim.step();
+    }
+    let busy = fast.sim.component::<ProtocolMonitor>(fast.monitors[0]);
+    assert!(busy.expect("monitor").counters().r_beats > 0);
+    for (&a, &b) in fast.monitors.iter().zip(&slow.monitors) {
+        assert_eq!(monitor_state(&fast.sim, a), monitor_state(&slow.sim, b));
+    }
+    assert_eq!(observe_contended(&fast), observe_contended(&slow));
+}
+
+/// Drives and drains all five channels of one port with pseudo-random,
+/// mostly illegal traffic: 128 busy cycles, then 64 idle ones the kernel
+/// can skip. Every rule the monitor knows fires over a long run.
+struct Chatter {
+    bundle: AxiBundle,
+    state: u64,
+}
+
+impl Chatter {
+    fn next(&mut self) -> u64 {
+        self.state = self
+            .state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        self.state >> 33
+    }
+
+    fn busy(cycle: u64) -> bool {
+        cycle % 192 < 128
+    }
+}
+
+impl Component for Chatter {
+    fn tick(&mut self, ctx: &mut axi_sim::TickCtx<'_>) {
+        let (c, b) = (ctx.cycle, self.bundle);
+        ctx.pool.pop(b.aw, c);
+        ctx.pool.pop(b.w, c);
+        ctx.pool.pop(b.b, c);
+        ctx.pool.pop(b.ar, c);
+        ctx.pool.pop(b.r, c);
+        if !Self::busy(c) {
+            return;
+        }
+        let id = TxnId::new((self.next() % 4) as u32);
+        let addr = Addr::new((self.next() % 0x2000) & !7);
+        let len = BurstLen::new(1 + (self.next() % 4) as u16).expect("1..=4 beats");
+        let kind = if self.next().is_multiple_of(8) {
+            BurstKind::Wrap
+        } else {
+            BurstKind::Incr
+        };
+        if ctx.pool.can_push(b.aw, c) {
+            let beat = AwBeat::new(id, addr, len, BurstSize::bus64(), kind);
+            ctx.pool.push(b.aw, c, beat);
+        }
+        if ctx.pool.can_push(b.ar, c) {
+            let beat = ArBeat::new(id, addr, len, BurstSize::bus64(), kind);
+            ctx.pool.push(b.ar, c, beat);
+        }
+        let last = self.next().is_multiple_of(3);
+        if ctx.pool.can_push(b.w, c) {
+            ctx.pool.push(b.w, c, WBeat::full(c, last));
+        }
+        let id = TxnId::new((self.next() % 4) as u32);
+        if ctx.pool.can_push(b.b, c) {
+            ctx.pool.push(b.b, c, BBeat::okay(id));
+        }
+        let last = self.next().is_multiple_of(2);
+        if ctx.pool.can_push(b.r, c) {
+            ctx.pool.push(b.r, c, RBeat::okay(id, c, last));
+        }
+    }
+
+    fn ports(&self) -> Vec<axi_sim::PortDecl> {
+        let mut ports = self.bundle.manager_ports();
+        ports.extend(self.bundle.subordinate_ports());
+        ports
+    }
+
+    fn next_event(&self, cycle: u64) -> Option<u64> {
+        Some(if Self::busy(cycle) {
+            cycle
+        } else {
+            cycle.next_multiple_of(192)
+        })
+    }
+}
+
+/// Registered last: records the largest undrained tap backlog it sees,
+/// i.e. after every other component has pushed this cycle.
+struct BacklogGauge {
+    max: u64,
+}
+
+impl Component for BacklogGauge {
+    fn tick(&mut self, ctx: &mut axi_sim::TickCtx<'_>) {
+        self.max = self.max.max(ctx.pool.tap_backlog());
+    }
+
+    fn next_event(&self, _cycle: u64) -> Option<u64> {
+        None
+    }
+}
+
+/// Two chattering ports, one monitor registered before its producer and
+/// one after, plus the backlog gauge.
+fn build_chatter_rig(mode: KernelMode) -> (Sim, [ComponentId; 2], ComponentId) {
+    let mut sim = Sim::new();
+    sim.set_kernel_mode(mode);
+    let first = AxiBundle::with_defaults(sim.pool_mut());
+    let second = AxiBundle::with_defaults(sim.pool_mut());
+    let early = ProtocolMonitor::attach(&mut sim, "early", first);
+    sim.add(Chatter {
+        bundle: first,
+        state: 1,
+    });
+    sim.add(Chatter {
+        bundle: second,
+        state: 2,
+    });
+    let late = ProtocolMonitor::attach(&mut sim, "late", second);
+    let gauge = sim.add(BacklogGauge { max: 0 });
+    (sim, [early, late], gauge)
+}
+
+/// A run pushing many times the fold mark gives identical monitor
+/// verdicts — counters, rule hits, violation lists — under the default
+/// kernel, the stepping kernel, and a run stepped by hand (a fold after
+/// every cycle). The undrained backlog never exceeds the mark plus one
+/// cycle's pushes, and is below the mark between cycles.
+#[test]
+fn monitor_folds_match_across_kernels_and_stay_bounded() {
+    const CYCLES: u64 = 3_000;
+    // Ten wires, each taking at most one push per cycle.
+    const PUSHES_PER_CYCLE: u64 = 10;
+    let verdicts =
+        |sim: &Sim, monitors: &[ComponentId; 2]| monitors.map(|id| monitor_state(sim, id));
+
+    let (mut fast, monitors, gauge) = build_chatter_rig(KernelMode::Skip);
+    let mut between = 0;
+    fast.run_until(CYCLES, |s| {
+        between = between.max(s.pool().tap_backlog());
+        false
+    });
+    let expected = verdicts(&fast, &monitors);
+
+    let (mut stepping, _, _) = build_chatter_rig(KernelMode::Step);
+    stepping.run(CYCLES);
+    assert_eq!(verdicts(&stepping, &monitors), expected);
+    let (mut by_hand, _, _) = build_chatter_rig(KernelMode::Skip);
+    for _ in 0..CYCLES {
+        by_hand.step();
+    }
+    assert_eq!(verdicts(&by_hand, &monitors), expected);
+
+    let pushes: u64 = monitors
+        .iter()
+        .map(|&id| {
+            let c = fast.component::<ProtocolMonitor>(id).unwrap().counters();
+            c.aw_bursts + c.w_beats + c.b_resps + c.ar_bursts + c.r_beats
+        })
+        .sum();
+    assert!(
+        pushes > 4 * axi_sim::TAP_HIGH_WATER,
+        "only {pushes} tap records"
+    );
+    for &id in &monitors {
+        let hits = fast.component::<ProtocolMonitor>(id).unwrap().rule_hits();
+        assert!(hits.len() >= 6, "too few rules exercised: {hits:?}");
+    }
+    assert!(fast.kernel_stats().cycles_skipped > 0);
+    assert!(fast.profile().iter().all(|p| {
+        let observer = monitors.iter().any(|m| m.index() == p.index);
+        observer == (p.visits == 0)
+    }));
+
+    let max = fast.component::<BacklogGauge>(gauge).unwrap().max;
+    assert!(max >= axi_sim::TAP_HIGH_WATER, "the mark was never reached");
+    assert!(max < axi_sim::TAP_HIGH_WATER + PUSHES_PER_CYCLE, "{max}");
+    assert!(between < axi_sim::TAP_HIGH_WATER, "{between}");
 }
