@@ -132,22 +132,20 @@ fn run(frag_len: Option<u16>, with_dma: bool) -> (Outcome, KernelStats) {
     rig.boundary(&boundary_mgrs, &["llc", "spm"]);
 
     // Elaboration-time analysis before the first cycle.
-    if realm_lint::enabled_by_env() {
-        let mut model = realm_lint::SystemModel::new()
-            .window("llc", MEM_BASE, MEM_SIZE)
-            .window("spm", SPM_BASE, SPM_SIZE)
-            .bandwidth("llc", 8)
-            .bandwidth("spm", 8)
-            .id_space(15, if with_dma { 2 } else { 1 })
-            .realm("realm.core", DesignConfig::cheshire(), runtime(256));
-        if with_dma {
-            model = model.realm("realm.dma", DesignConfig::cheshire(), runtime(dma_frag));
-        }
-        realm_lint::apply(
-            "extension_cache",
-            &realm_lint::analyze(&sim.topology(), &model),
-        );
+    let mut model = realm_lint::SystemModel::new()
+        .window("llc", MEM_BASE, MEM_SIZE)
+        .window("spm", SPM_BASE, SPM_SIZE)
+        .bandwidth("llc", 8)
+        .bandwidth("spm", 8)
+        .id_space(15, if with_dma { 2 } else { 1 })
+        .realm("realm.core", DesignConfig::cheshire(), runtime(256));
+    if with_dma {
+        model = model.realm("realm.dma", DesignConfig::cheshire(), runtime(dma_frag));
     }
+    realm_lint::apply(
+        "extension_cache",
+        &realm_lint::analyze(&sim.topology(), &model),
+    );
 
     assert!(sim.run_until(200_000_000, |s| s
         .component::<CoreModel>(core)

@@ -107,26 +107,21 @@ fn main() {
     // (frag=1, period 1000, DMA at 1/5 of the core's budget) exercises
     // budget exhaustion and isolation, so an armed REALM_TRACE yields
     // per-manager transaction spans plus budget-exhausted instants. The
-    // same run supplies the island partition and the per-component kernel
-    // profile for BENCH_kernel.json; none of its numbers enter
-    // results/fig6a.json.
+    // same run supplies the per-component kernel profile for
+    // BENCH_kernel.json; none of its numbers enter results/fig6a.json.
     let mut cfg = TestbenchConfig::single_source(accesses);
     cfg.dma = Some(TestbenchConfig::worst_case_dma());
     cfg.core_regulation = Regulation::Realm(llc_regulation(1, 8 * 1024, 1000));
     cfg.dma_regulation = Regulation::Realm(llc_regulation(1, 8 * 1024 / 5, 1000));
     let mut tb = Testbench::new(cfg);
-    let partition = tb.partition();
     assert!(
         tb.run_until_core_done(MAX_CYCLES),
         "trace-demo run exceeded {MAX_CYCLES} cycles"
     );
     maybe_export_trace(&tb.telemetry());
-    if let Err(e) = outcome.write_kernel_baseline_full(
-        "BENCH_kernel.json",
-        "fig6a",
-        Some(&partition),
-        Some(&tb.sim().profile()),
-    ) {
+    if let Err(e) =
+        outcome.write_kernel_baseline("BENCH_kernel.json", "fig6a", Some(&tb.sim().profile()))
+    {
         eprintln!("could not write BENCH_kernel.json: {e}");
     }
 }

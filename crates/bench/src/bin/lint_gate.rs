@@ -1,16 +1,16 @@
 //! CI gate: runs the elaboration-time analyzer (realm-lint Pass A) and
 //! the static dependence analysis (Pass C) over every experiment
 //! configuration the suite ships and writes a combined machine-readable
-//! report, including each system's island partition and evaluation
-//! schedule.
+//! report, including each system's evaluation schedule and edge census.
 //!
 //! ```text
 //! cargo run --release -p realm-bench --bin lint_gate [-- OUTPUT.json]
 //! ```
 //!
-//! One labeled entry per experiment family; exits 1 if any configuration
-//! carries an error-severity finding (warnings — e.g. the deliberate
-//! Fig. 6b over-subscription — are recorded but do not fail the gate).
+//! One labeled entry per experiment family; warnings — e.g. the deliberate
+//! Fig. 6b over-subscription — are recorded but do not fail the gate. A
+//! configuration with an error-severity finding fails it: the testbench
+//! constructor refuses the system with a panic naming every finding.
 
 use std::process::ExitCode;
 
@@ -95,22 +95,16 @@ fn main() -> ExitCode {
         .unwrap_or_else(|| "results/lint_gate.json".to_owned());
 
     let mut entries = Vec::new();
-    let mut total_errors = 0usize;
     for (name, cfg) in configs() {
-        // The constructor itself gates (and would panic on errors) unless
-        // REALM_LINT=0; collect the report explicitly so the artifact is
-        // written either way.
+        // The constructor itself gates (it panics on errors); collect the
+        // report again here for the artifact, which records every finding.
         let tb = Testbench::new(cfg);
         let report = tb.lint_report();
         let partition = tb.partition();
-        total_errors += report.error_count();
         println!(
-            "lint_gate: {name}: {} error(s), {} warning(s); {} island(s), \
-             largest {}, schedule depth {}",
+            "lint_gate: {name}: {} error(s), {} warning(s); schedule depth {}",
             report.error_count(),
             report.warning_count(),
-            partition.island_count(),
-            partition.largest_island(),
             partition.depth
         );
         entries.push(format!(
@@ -129,12 +123,6 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
     println!("lint_gate: wrote {out_path}");
-
-    if total_errors == 0 {
-        println!("lint_gate: all experiment configurations analyzer-clean");
-        ExitCode::SUCCESS
-    } else {
-        println!("lint_gate: {total_errors} error(s) across configurations");
-        ExitCode::FAILURE
-    }
+    println!("lint_gate: all experiment configurations analyzer-clean");
+    ExitCode::SUCCESS
 }

@@ -146,39 +146,37 @@ fn build(regulator: Regulator, dma: bool, staller: bool, accesses: u64) -> Scena
     // Elaboration-time analysis before the first cycle. Only REALM-style
     // regulators carry a RuntimeConfig; the ABE equalizer has no region
     // semantics to declare and is checked structurally via its ports.
-    if realm_lint::enabled_by_env() {
-        let realm_rt = |frag: u16| {
-            let mut rt = RuntimeConfig::open(2);
-            rt.frag_len = frag;
-            rt.regions[0] = RegionConfig {
-                base: LLC_BASE,
-                size: LLC_SIZE,
-                budget_max: 0,
-                period: 0,
-            };
-            rt
+    let realm_rt = |frag: u16| {
+        let mut rt = RuntimeConfig::open(2);
+        rt.frag_len = frag;
+        rt.regions[0] = RegionConfig {
+            base: LLC_BASE,
+            size: LLC_SIZE,
+            budget_max: 0,
+            period: 0,
         };
-        let n_managers = 1 + usize::from(dma) + usize::from(staller);
-        let mut model = realm_lint::SystemModel::new()
-            .window("llc", LLC_BASE, LLC_SIZE)
-            .window("spm", SPM_BASE, SPM_SIZE)
-            .bandwidth("llc", 8)
-            .bandwidth("spm", 8)
-            .id_space(15, n_managers)
-            .realm("realm.core", DesignConfig::cheshire(), realm_rt(256));
-        if let Regulator::Realm { frag } = regulator {
-            if dma {
-                model = model.realm("realm.dma", DesignConfig::cheshire(), realm_rt(frag));
-            }
-            if staller {
-                model = model.realm("realm.staller", DesignConfig::cheshire(), realm_rt(frag));
-            }
+        rt
+    };
+    let n_managers = 1 + usize::from(dma) + usize::from(staller);
+    let mut model = realm_lint::SystemModel::new()
+        .window("llc", LLC_BASE, LLC_SIZE)
+        .window("spm", SPM_BASE, SPM_SIZE)
+        .bandwidth("llc", 8)
+        .bandwidth("spm", 8)
+        .id_space(15, n_managers)
+        .realm("realm.core", DesignConfig::cheshire(), realm_rt(256));
+    if let Regulator::Realm { frag } = regulator {
+        if dma {
+            model = model.realm("realm.dma", DesignConfig::cheshire(), realm_rt(frag));
         }
-        realm_lint::apply(
-            "related_work",
-            &realm_lint::analyze(&sim.topology(), &model),
-        );
+        if staller {
+            model = model.realm("realm.staller", DesignConfig::cheshire(), realm_rt(frag));
+        }
     }
+    realm_lint::apply(
+        "related_work",
+        &realm_lint::analyze(&sim.topology(), &model),
+    );
 
     Scenario { core, sim, rig }
 }

@@ -35,7 +35,7 @@ const PUBLISHED_SOC: f64 = 3810.0;
 
 fn main() {
     // Analytic binary: no simulator is constructed, so gate on the
-    // default Cheshire system explicitly (REALM_LINT=0 skips).
+    // default Cheshire system explicitly.
     cheshire_soc::startup_lint("table1");
 
     let breakdown = AreaBreakdown::evaluate(AreaParams::cheshire());

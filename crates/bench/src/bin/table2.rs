@@ -13,7 +13,7 @@ use realm_bench::{run_sweep, ExperimentReport, Row};
 
 fn main() {
     // Analytic binary: no simulator is constructed, so gate on the
-    // default Cheshire system explicitly (REALM_LINT=0 skips).
+    // default Cheshire system explicitly.
     cheshire_soc::startup_lint("table2");
 
     // Part 1: the coefficient matrix exactly as published.

@@ -118,40 +118,8 @@ impl<R> SweepOutcome<R> {
     /// so it lives here (`BENCH_kernel.json` at the repo root) instead of in
     /// the deterministic `results/*.json` reports.
     ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn write_kernel_baseline<P: AsRef<std::path::Path>>(
-        &self,
-        path: P,
-        experiment: &str,
-    ) -> std::io::Result<()> {
-        self.write_kernel_baseline_with_partition(path, experiment, None)
-    }
-
-    /// Like [`SweepOutcome::write_kernel_baseline`], with the system's
-    /// static dependence partition (Pass C of `realm-lint`) summarized in
-    /// a `partition` row: component count, island count, largest island,
-    /// and zero-latency schedule depth. The partition is a property of the
-    /// simulated system, not of the machine, but it rides along here so
-    /// the kernel baseline records how much island-level parallelism the
-    /// measured system exposes.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn write_kernel_baseline_with_partition<P: AsRef<std::path::Path>>(
-        &self,
-        path: P,
-        experiment: &str,
-        partition: Option<&realm_lint::Partition>,
-    ) -> std::io::Result<()> {
-        self.write_kernel_baseline_full(path, experiment, partition, None)
-    }
-
-    /// Like [`SweepOutcome::write_kernel_baseline_with_partition`], with the
-    /// kernel self-profile of one representative run appended as a
-    /// `profile` section: per-component visit/wake/batch counts from
+    /// With `profile`, the kernel self-profile of one representative run is
+    /// appended as a `profile` section: per-component visit counts from
     /// [`axi_sim::Sim::profile`], plus wall-time per component when the
     /// `self-profile` feature is on (0 otherwise — the clock reads are
     /// compiled out of default builds).
@@ -159,11 +127,10 @@ impl<R> SweepOutcome<R> {
     /// # Errors
     ///
     /// Propagates filesystem errors.
-    pub fn write_kernel_baseline_full<P: AsRef<std::path::Path>>(
+    pub fn write_kernel_baseline<P: AsRef<std::path::Path>>(
         &self,
         path: P,
         experiment: &str,
-        partition: Option<&realm_lint::Partition>,
         profile: Option<&[axi_sim::ComponentProfile]>,
     ) -> std::io::Result<()> {
         use crate::json::Json;
@@ -201,17 +168,6 @@ impl<R> SweepOutcome<R> {
             ("component_skips".to_owned(), int(self.component_skips())),
             ("points".to_owned(), Json::Arr(points)),
         ];
-        if let Some(p) = partition {
-            doc.push((
-                "partition".to_owned(),
-                Json::Obj(vec![
-                    ("components".to_owned(), int(p.names.len() as u64)),
-                    ("islands".to_owned(), int(p.island_count() as u64)),
-                    ("largest_island".to_owned(), int(p.largest_island() as u64)),
-                    ("schedule_depth".to_owned(), int(p.depth as u64)),
-                ]),
-            ));
-        }
         if let Some(profile) = profile {
             doc.push((
                 "profile".to_owned(),
@@ -345,7 +301,7 @@ mod tests {
         let dir = std::env::temp_dir().join("realm_sweep_baseline_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("BENCH_kernel.json");
-        outcome.write_kernel_baseline(&path, "unit").unwrap();
+        outcome.write_kernel_baseline(&path, "unit", None).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         let doc = crate::json::parse(&text).unwrap();
         assert_eq!(

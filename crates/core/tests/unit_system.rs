@@ -335,14 +335,12 @@ fn mmio_configuration_path_end_to_end() {
     ));
     let guard = BusGuard::new(RealmRegFile::new(vec![regs]));
     const CFG_BASE: u64 = 0x0200_0000;
-    let mmio = sim.add(MmioSubordinate::new(
+    sim.add(MmioSubordinate::new(
         guard,
         Addr::new(CFG_BASE),
         0x1_0000,
         cfg_port,
     ));
-    // Register file and unit share state outside the wire graph.
-    sim.couple(mmio, realm_id);
 
     // The configuring manager claims the guard, sets frag_len=2, reads the
     // status register back.
@@ -381,15 +379,14 @@ fn unclaimed_guard_rejects_configuration() {
     let down = AxiBundle::with_defaults(sim.pool_mut());
     let realm = RealmUnit::new(DesignConfig::cheshire(), regulated(256, 0, 0), up, down);
     let guard = BusGuard::new(RealmRegFile::new(vec![realm.regs()]));
-    let realm_id = sim.add(realm);
+    sim.add(realm);
     const CFG_BASE: u64 = 0x0200_0000;
-    let mmio = sim.add(MmioSubordinate::new(
+    sim.add(MmioSubordinate::new(
         guard,
         Addr::new(CFG_BASE),
         0x1_0000,
         cfg_port,
     ));
-    sim.couple(mmio, realm_id);
     let frag_off = CFG_BASE + offsets::unit(0) + offsets::FRAG_LEN;
     let mgr = sim.add(ScriptedManager::new(
         cfg_port,

@@ -3,35 +3,14 @@
 
 use crate::diag::Report;
 
-/// Reads the `REALM_LINT` environment variable: the analyzer defaults on
-/// unless it is set to `0`, `off`, or `false` (mirrors `REALM_MONITORS`).
-pub fn enabled_by_env() -> bool {
-    !matches!(
-        std::env::var("REALM_LINT").as_deref(),
-        Ok("0") | Ok("off") | Ok("false")
-    )
-}
-
-/// `true` when `REALM_LINT=verbose`: warnings and infos are printed to
-/// stderr instead of staying silent.
-pub fn verbose_by_env() -> bool {
-    matches!(std::env::var("REALM_LINT").as_deref(), Ok("verbose"))
-}
-
-/// Applies a report at system startup: prints every finding when
-/// `REALM_LINT=verbose` (quiet otherwise — parallel sweeps construct
-/// hundreds of testbenches), then panics with the full report if any
-/// error-severity finding exists.
-///
-/// Call only when [`enabled_by_env`] returned `true`.
+/// Applies a report at system startup: panics with the full report if any
+/// error-severity finding exists, and stays quiet otherwise (parallel
+/// sweeps construct hundreds of testbenches; the `lint_gate` binary
+/// collects every finding instead).
 pub fn apply(system: &str, report: &Report) {
-    if verbose_by_env() && !report.diagnostics().is_empty() {
-        eprintln!("realm-lint [{system}]:\n{report}");
-    }
     assert!(
         report.is_clean(),
-        "realm-lint rejected system `{system}` \
-         (set REALM_LINT=0 to skip analysis):\n{report}"
+        "realm-lint rejected system `{system}`:\n{report}"
     );
 }
 

@@ -22,29 +22,25 @@
 //! | `budget-infeasible` | warning | one reservation exceeds `P · W` |
 //! | `budget-oversubscribed` | warning | `Σ eᵢ/Pᵢ` exceeds the service rate `W` |
 //! | `zero-latency-cycle` | error | declared combinational couplings form a loop |
-//! | `couple-redundant` | warning | couple duplicates an existing wire edge |
-//! | `couple-merges-islands` | info | couple alone bridges two otherwise-independent islands |
 //! | `dependence-unreachable` | warning | no dependence edge reaches the component |
 //!
 //! ¹ demoted to warning when opaque (port-less) components are present.
 //!
-//! **Pass C — static dependence analysis.** The last three rules come from
+//! **Pass C — static dependence analysis.** The last rule comes from
 //! [`analyze_deps`] (run automatically by [`analyze`]), which builds the
-//! full intra-cycle dependence graph — wire edges from port declarations,
-//! couple edges from [`Sim::couple`](axi_sim::Sim::couple), comb edges
-//! from the system model — and computes a [`Partition`]: the island
-//! decomposition (connected components that can never observe each
-//! other, enforced at runtime by the `REALM_SANITIZE=1` access
-//! sanitizer) and a deterministic static
-//! evaluation schedule with its zero-latency depth.
+//! full intra-cycle dependence graph — wire edges from port declarations
+//! (checked at runtime by the `REALM_SANITIZE=1` access sanitizer), comb
+//! edges from the system model — and computes a [`Partition`]: a
+//! deterministic static evaluation schedule with its zero-latency depth.
 //!
 //! Feasibility findings are warnings by design: the paper's own Fig. 6b
 //! configuration over-subscribes the LLC deliberately (reservations of
 //! 8 KiB + up to 8 KiB per 1000 cycles against an 8 B/cycle port).
 //! "Analyzer-clean" therefore means **zero error-severity findings**.
 //!
-//! Testbenches run the pass automatically at construction; set
-//! `REALM_LINT=0` to opt out and `REALM_LINT=verbose` to print warnings.
+//! Testbenches run the pass automatically at construction and refuse a
+//! system with an error-severity finding; the `lint_gate` binary writes
+//! every finding of every experiment configuration to JSON.
 //!
 //! **Runtime-checked kernel contract (`kernel-stale-hint`).** One rule in
 //! the catalogue is enforced by the simulation kernel itself rather than by
@@ -80,7 +76,7 @@ mod sched;
 mod system;
 
 pub use diag::{Diagnostic, Report, Severity};
-pub use gate::{apply, enabled_by_env, verbose_by_env};
+pub use gate::apply;
 pub use rules::{analyze, analyze_budgets, drain_bound_cycles};
 pub use scan::{scan_source, scan_workspace, violations_to_json, Violation};
 pub use sched::{analyze_deps, DepEdge, DepEdgeKind, Partition};

@@ -28,7 +28,7 @@ pub fn analyze(topo: &Topology, model: &SystemModel) -> Report {
     check_regions(model, &mut report);
     check_budgets(model, &mut report);
     check_comb_cycles(model, &mut report);
-    // Pass C rides along: the couple/dependence diagnostics join the
+    // Pass C rides along: the dependence diagnostics join the
     // report; callers wanting the Partition artifact itself use
     // `analyze_deps` directly.
     let (_, deps) = crate::sched::analyze_deps(topo, model);

@@ -1,38 +1,26 @@
-//! Pass C: static dependence analysis — evaluation schedule and island
-//! partition.
+//! Pass C: static dependence analysis — the evaluation schedule.
 //!
-//! Consumes the same inputs as Pass A — a [`Topology`] (component ports,
-//! wires, and [`Sim::couple`](axi_sim::Sim::couple) declarations) plus the
-//! [`SystemModel`]'s combinational couplings — and builds the full
-//! intra-cycle dependence graph:
+//! Consumes the same inputs as Pass A — a [`Topology`] (component ports
+//! and wires) plus the [`SystemModel`]'s combinational couplings — and
+//! builds the full intra-cycle dependence graph:
 //!
 //! - **wire edges** from `PortDecl`/`PortDir` (driver → consumer, one per
 //!   shared wire; observers are folded between cycles, never scheduled
 //!   within one, so they sink no edge),
-//! - **couple edges** from out-of-band `Sim::couple` declarations
-//!   (source → dependent),
 //! - **comb edges** from the system model's declared zero-latency
-//!   couplings (the input of the `zero-latency-cycle` rule).
+//!   couplings (the input of the `zero-latency-cycle` rule) — among them
+//!   the MMIO frontend's writes into each REALM unit's shared registers.
 //!
-//! From the graph, [`analyze_deps`] computes a [`Partition`]:
-//!
-//! - a deterministic **static evaluation schedule** — a topological order
-//!   over the *zero-latency* edges (couples and comb couplings; wire hops
-//!   are registered and thus never constrain intra-cycle order), with
-//!   smallest-registration-index tie-breaking, island-major;
-//! - the **island partition**: connected components of the undirected
-//!   dependence graph. No edge of any kind crosses an island, so no
-//!   island can observe another, and the `REALM_SANITIZE=1` access
-//!   sanitizer checks at runtime that no undeclared access escapes it.
-//!
-//! Three diagnostics police the couple declarations themselves: a couple
-//! duplicating an existing wire edge (`couple-redundant`), a couple whose
-//! removal would split an island (`couple-merges-islands`, with the exact
-//! edge to blame), and scheduled components that no dependence edge
-//! reaches at all (`dependence-unreachable`).
+//! From the graph, [`analyze_deps`] computes a [`Partition`] holding a
+//! deterministic **static evaluation schedule**: a topological order over
+//! the *zero-latency* edges (comb couplings; wire hops are registered and
+//! thus never constrain intra-cycle order), with
+//! smallest-registration-index tie-breaking. One diagnostic rides along:
+//! scheduled components that no dependence edge reaches at all
+//! (`dependence-unreachable`).
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::{BTreeMap, BinaryHeap};
 
 use axi_sim::{PortDir, Topology};
 
@@ -43,12 +31,8 @@ use crate::system::SystemModel;
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum DepEdgeKind {
     /// A shared pool wire (registered: adds a cycle of latency, so it
-    /// groups components into islands but never constrains intra-cycle
-    /// evaluation order).
+    /// never constrains intra-cycle evaluation order).
     Wire,
-    /// An out-of-band [`Sim::couple`](axi_sim::Sim::couple) declaration
-    /// (zero-latency: the dependent may observe the source same-cycle).
-    Couple,
     /// A declared combinational coupling from the [`SystemModel`]
     /// (zero-latency).
     Comb,
@@ -59,7 +43,6 @@ impl DepEdgeKind {
     pub fn label(self) -> &'static str {
         match self {
             DepEdgeKind::Wire => "wire",
-            DepEdgeKind::Couple => "couple",
             DepEdgeKind::Comb => "comb",
         }
     }
@@ -74,26 +57,22 @@ pub struct DepEdge {
     pub to: usize,
     /// What carries the dependence.
     pub kind: DepEdgeKind,
-    /// The carrier: `AW[3]` for a wire edge, `couple`/`comb` otherwise.
+    /// The carrier: `AW[3]` for a wire edge, `comb` otherwise.
     pub via: String,
 }
 
-/// The static dependence artifact for one system: every edge, the island
-/// partition, and the deterministic evaluation schedule.
+/// The static dependence artifact for one system: every edge and the
+/// deterministic evaluation schedule.
 #[derive(Clone, Debug, Default)]
 pub struct Partition {
     /// Component instance names, in registration order.
     pub names: Vec<String>,
-    /// Every dependence edge (wire, couple, comb), deterministic order.
+    /// Every dependence edge (wire, comb), deterministic order.
     pub edges: Vec<DepEdge>,
-    /// Connected components of the undirected dependence graph, ordered by
-    /// smallest member; members in registration order. Opaque (port-less)
-    /// components conservatively collapse everything into one island.
-    pub islands: Vec<Vec<usize>>,
-    /// Island-major topological order over the zero-latency edges with
-    /// smallest-index tie-breaking — the static evaluation schedule.
-    /// Components on a zero-latency cycle (a `zero-latency-cycle` error)
-    /// fall back to registration order at the end of their island.
+    /// Topological order over the zero-latency edges with smallest-index
+    /// tie-breaking — the static evaluation schedule. Components on a
+    /// zero-latency cycle (a `zero-latency-cycle` error) fall back to
+    /// registration order at the end.
     pub schedule: Vec<usize>,
     /// Longest zero-latency chain, in components (1 = no zero-latency
     /// edges at all; 0 = empty system).
@@ -103,17 +82,6 @@ pub struct Partition {
 }
 
 impl Partition {
-    /// Number of independently steppable islands.
-    pub fn island_count(&self) -> usize {
-        self.islands.len()
-    }
-
-    /// Size of the largest island — the serial fraction an island-parallel
-    /// stepper could not split.
-    pub fn largest_island(&self) -> usize {
-        self.islands.iter().map(Vec::len).max().unwrap_or(0)
-    }
-
     /// Number of edges of the given kind.
     pub fn edge_count(&self, kind: DepEdgeKind) -> usize {
         self.edges.iter().filter(|e| e.kind == kind).count()
@@ -122,39 +90,20 @@ impl Partition {
     /// Renders the partition as a single JSON object:
     ///
     /// ```json
-    /// {"components":N,"opaque":N,"island_count":N,"largest_island":N,
-    ///  "schedule_depth":N,"edges":{"wire":N,"couple":N,"comb":N},
-    ///  "islands":[["name",...],...],"schedule":["name",...]}
+    /// {"components":N,"opaque":N,"schedule_depth":N,
+    ///  "edges":{"wire":N,"comb":N},"schedule":["name",...]}
     /// ```
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
-            "{{\"components\":{},\"opaque\":{},\"island_count\":{},\
-             \"largest_island\":{},\"schedule_depth\":{},\
-             \"edges\":{{\"wire\":{},\"couple\":{},\"comb\":{}}},\"islands\":[",
+            "{{\"components\":{},\"opaque\":{},\"schedule_depth\":{},\
+             \"edges\":{{\"wire\":{},\"comb\":{}}},\"schedule\":[",
             self.names.len(),
             self.opaque,
-            self.island_count(),
-            self.largest_island(),
             self.depth,
             self.edge_count(DepEdgeKind::Wire),
-            self.edge_count(DepEdgeKind::Couple),
             self.edge_count(DepEdgeKind::Comb),
         ));
-        for (k, island) in self.islands.iter().enumerate() {
-            if k > 0 {
-                out.push(',');
-            }
-            out.push('[');
-            for (j, &i) in island.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("\"{}\"", escape(&self.names[i])));
-            }
-            out.push(']');
-        }
-        out.push_str("],\"schedule\":[");
         for (j, &i) in self.schedule.iter().enumerate() {
             if j > 0 {
                 out.push(',');
@@ -166,17 +115,13 @@ impl Partition {
     }
 }
 
-/// Runs Pass C: builds the dependence graph, partitions it into islands,
-/// computes the static evaluation schedule, and reports the couple
-/// diagnostics (`couple-redundant`, `couple-merges-islands`,
-/// `dependence-unreachable`). Also run as part of [`analyze`]
-/// (see [`crate::analyze`]); call directly to get the [`Partition`]
-/// artifact.
+/// Runs Pass C: builds the dependence graph, computes the static
+/// evaluation schedule, and reports `dependence-unreachable`. Also run as
+/// part of [`analyze`] (see [`crate::analyze`]); call directly to get the
+/// [`Partition`] artifact.
 pub fn analyze_deps(topo: &Topology, model: &SystemModel) -> (Partition, Report) {
     let partition = build_partition(topo, model);
     let mut report = Report::new();
-    check_couple_redundant(topo, &mut report);
-    check_couple_merges_islands(topo, &mut report);
     check_dependence_unreachable(topo, &partition, &mut report);
     (partition, report)
 }
@@ -226,26 +171,12 @@ fn build_partition(topo: &Topology, model: &SystemModel) -> Partition {
         }
     }
 
-    // Couple edges: source → dependent, declaration order.
-    for &(source, dependent) in &topo.couples {
-        if source < n && dependent < n {
-            edges.push(DepEdge {
-                from: source,
-                to: dependent,
-                kind: DepEdgeKind::Couple,
-                via: "couple".to_owned(),
-            });
-        }
-    }
-
     // Comb edges from the system model, resolved by instance name;
     // unresolvable names are skipped (the model may describe nodes the
     // topology does not register as components).
-    let mut comb_pairs: Vec<(usize, usize)> = Vec::new();
     for (a, b) in &model.comb_edges {
         if let (Some(i), Some(j)) = (resolve(topo, a), resolve(topo, b)) {
             if i != j {
-                comb_pairs.push((i, j));
                 edges.push(DepEdge {
                     from: i,
                     to: j,
@@ -256,52 +187,36 @@ fn build_partition(topo: &Topology, model: &SystemModel) -> Partition {
         }
     }
 
-    let islands = topo.islands_with(&comb_pairs);
-
     // Evaluation schedule: Kahn's algorithm over the zero-latency edges
-    // only (couples + comb couplings). Wire hops are registered — a beat
+    // only (comb couplings). Wire hops are registered — a beat
     // pushed at cycle t is visible at t+1 — so they never constrain the
     // order within a cycle; the request/response wire loops (manager →
     // memory → manager) would otherwise make every system cyclic.
     let mut zadj: Vec<Vec<usize>> = vec![Vec::new(); n];
     let mut indeg = vec![0usize; n];
     for e in &edges {
-        if matches!(e.kind, DepEdgeKind::Couple | DepEdgeKind::Comb) {
+        if e.kind == DepEdgeKind::Comb {
             zadj[e.from].push(e.to);
             indeg[e.to] += 1;
         }
     }
     let mut schedule = Vec::with_capacity(n);
     let mut placed = vec![false; n];
-    // Zero-latency edges never cross islands (islands were computed with
-    // both couple and comb edges merged in), so per-island Kahn over the
-    // shared in-degree array is sound.
-    for island in &islands {
-        let mut heap: BinaryHeap<Reverse<usize>> = island
-            .iter()
-            .copied()
-            .filter(|&i| indeg[i] == 0)
-            .map(Reverse)
-            .collect();
-        while let Some(Reverse(i)) = heap.pop() {
-            schedule.push(i);
-            placed[i] = true;
-            for &j in &zadj[i] {
-                indeg[j] -= 1;
-                if indeg[j] == 0 {
-                    heap.push(Reverse(j));
-                }
-            }
-        }
-        // Members on a zero-latency cycle (an error Pass A already
-        // reports) keep registration order at the end of their island.
-        for &i in island {
-            if !placed[i] {
-                schedule.push(i);
-                placed[i] = true;
+    let mut heap: BinaryHeap<Reverse<usize>> =
+        (0..n).filter(|&i| indeg[i] == 0).map(Reverse).collect();
+    while let Some(Reverse(i)) = heap.pop() {
+        schedule.push(i);
+        placed[i] = true;
+        for &j in &zadj[i] {
+            indeg[j] -= 1;
+            if indeg[j] == 0 {
+                heap.push(Reverse(j));
             }
         }
     }
+    // Components on a zero-latency cycle (an error Pass A already
+    // reports) keep registration order at the end.
+    schedule.extend((0..n).filter(|&i| !placed[i]));
 
     // Schedule depth: longest zero-latency chain, in components. The
     // schedule emits sources before sinks for the acyclic part, so one
@@ -317,84 +232,9 @@ fn build_partition(topo: &Topology, model: &SystemModel) -> Partition {
     Partition {
         names,
         edges,
-        islands,
         schedule,
         depth,
         opaque: topo.opaque_components(),
-    }
-}
-
-/// `couple-redundant`: a couple between two components that already share
-/// a declared wire. The wire already puts the pair in one island, so as a
-/// *dependence* edge the couple adds nothing — either the shared state
-/// mirrors what the wire carries (drop the couple) or the ports
-/// over-declare. Warning, not error: the couple still keeps the kernel
-/// from skipping past writes without wire activity.
-fn check_couple_redundant(topo: &Topology, report: &mut Report) {
-    if topo.couples.is_empty() {
-        return;
-    }
-    let n = topo.components.len();
-    let wires: Vec<BTreeSet<(&str, usize)>> = topo
-        .components
-        .iter()
-        .map(|c| c.ports.iter().map(|p| (p.channel, p.wire)).collect())
-        .collect();
-    for &(s, d) in &topo.couples {
-        if s >= n || d >= n {
-            continue;
-        }
-        if let Some(&(channel, index)) = wires[s].intersection(&wires[d]).next() {
-            report.push(Diagnostic::new(
-                "couple-redundant",
-                Severity::Warning,
-                format!("{}->{}", topo.components[s].name, topo.components[d].name),
-                format!(
-                    "couple duplicates an existing wire edge: both components already \
-                     touch {channel}[{index}], which keeps the pair in one island"
-                ),
-            ));
-        }
-    }
-}
-
-/// `couple-merges-islands`: a couple whose endpoints sit in different
-/// islands of the wire-only dependence graph. The couple alone welds the
-/// two islands together — removing (or re-architecting) exactly this edge
-/// would let them step independently. Info: merging islands is often the
-/// declared intent (an out-of-band config channel), but it is the one
-/// edge to blame when a partition is coarser than expected.
-fn check_couple_merges_islands(topo: &Topology, report: &mut Report) {
-    if topo.couples.is_empty() {
-        return;
-    }
-    let n = topo.components.len();
-    let mut wire_only = topo.clone();
-    wire_only.couples.clear();
-    let islands = wire_only.islands();
-    let mut island_of = vec![0usize; n];
-    for (k, island) in islands.iter().enumerate() {
-        for &i in island {
-            island_of[i] = k;
-        }
-    }
-    for &(s, d) in &topo.couples {
-        if s >= n || d >= n || island_of[s] == island_of[d] {
-            continue;
-        }
-        report.push(Diagnostic::new(
-            "couple-merges-islands",
-            Severity::Info,
-            format!("{}->{}", topo.components[s].name, topo.components[d].name),
-            format!(
-                "couple edge ({} -> {}) merges two otherwise-independent islands \
-                 ({} and {} components): without it they could step in parallel",
-                topo.components[s].name,
-                topo.components[d].name,
-                islands[island_of[s]].len(),
-                islands[island_of[d]].len()
-            ),
-        ));
     }
 }
 
@@ -422,7 +262,7 @@ fn check_dependence_unreachable(topo: &Topology, partition: &Partition, report: 
                 "dependence-unreachable",
                 Severity::Warning,
                 c.name.clone(),
-                "no dependence edge (shared wire, couple, or comb coupling) connects \
+                "no dependence edge (shared wire or comb coupling) connects \
                  this component to any other: it is unreachable in dependence order"
                     .to_owned(),
             ));
@@ -463,32 +303,28 @@ mod tests {
         }
     }
 
-    fn pair(
-        names: (&'static str, &'static str),
-    ) -> (Sim, axi_sim::ComponentId, axi_sim::ComponentId) {
+    fn pair(names: (&'static str, &'static str)) -> Sim {
         let mut sim = Sim::new();
         let bundle = AxiBundle::with_defaults(sim.pool_mut());
-        let a = sim.add(Mgr {
+        sim.add(Mgr {
             bundle,
             name: names.0,
         });
-        let b = sim.add(Sub {
+        sim.add(Sub {
             bundle,
             name: names.1,
         });
-        (sim, a, b)
+        sim
     }
 
     #[test]
-    fn wire_edges_and_single_island() {
-        let (sim, _, _) = pair(("mgr", "sub"));
+    fn wire_edges_leave_registration_order() {
+        let sim = pair(("mgr", "sub"));
         let (p, report) = analyze_deps(&sim.topology(), &SystemModel::new());
         assert!(report.diagnostics().is_empty());
-        assert_eq!(p.island_count(), 1);
-        assert_eq!(p.largest_island(), 2);
         // 5 channels: AW/W/AR mgr→sub, B/R sub→mgr.
         assert_eq!(p.edge_count(DepEdgeKind::Wire), 5);
-        assert_eq!(p.edge_count(DepEdgeKind::Couple), 0);
+        assert_eq!(p.edge_count(DepEdgeKind::Comb), 0);
         // No zero-latency edges: schedule falls back to registration order
         // and the depth is one.
         assert_eq!(p.schedule, vec![0, 1]);
@@ -497,7 +333,7 @@ mod tests {
 
     #[test]
     fn comb_edges_order_the_schedule() {
-        let (sim, _, _) = pair(("a", "b"));
+        let sim = pair(("a", "b"));
         let model = SystemModel::new().comb_edge("b", "a");
         let (p, _) = analyze_deps(&sim.topology(), &model);
         assert_eq!(p.edge_count(DepEdgeKind::Comb), 1);
@@ -507,49 +343,6 @@ mod tests {
         let model = SystemModel::new().comb_edge("nope", "a");
         let (p, _) = analyze_deps(&sim.topology(), &model);
         assert_eq!(p.edge_count(DepEdgeKind::Comb), 0);
-    }
-
-    #[test]
-    fn redundant_couple_flagged() {
-        let (mut sim, mgr, sub) = pair(("mgr", "sub"));
-        sim.couple(mgr, sub);
-        let (p, report) = analyze_deps(&sim.topology(), &SystemModel::new());
-        assert_eq!(p.edge_count(DepEdgeKind::Couple), 1);
-        let diags = report.by_rule("couple-redundant");
-        assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].severity, Severity::Warning);
-        assert_eq!(diags[0].path, "mgr->sub");
-        // The couple edge orders the schedule even when redundant.
-        assert_eq!(p.schedule, vec![0, 1]);
-        assert_eq!(p.depth, 2);
-        // Redundant: it did not change the island partition.
-        assert!(report.by_rule("couple-merges-islands").is_empty());
-    }
-
-    #[test]
-    fn island_merging_couple_flagged_with_exact_edge() {
-        let mut sim = Sim::new();
-        let b1 = AxiBundle::with_defaults(sim.pool_mut());
-        let b2 = AxiBundle::with_defaults(sim.pool_mut());
-        let a = sim.add(Mgr {
-            bundle: b1,
-            name: "left",
-        });
-        let b = sim.add(Mgr {
-            bundle: b2,
-            name: "right",
-        });
-        sim.couple(b, a);
-        let (p, report) = analyze_deps(&sim.topology(), &SystemModel::new());
-        assert_eq!(p.island_count(), 1, "couple merges the two wire islands");
-        let diags = report.by_rule("couple-merges-islands");
-        assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].severity, Severity::Info);
-        assert_eq!(diags[0].path, "right->left");
-        assert!(diags[0].message.contains("(right -> left)"));
-        assert!(report.by_rule("couple-redundant").is_empty());
-        // Couple source steps before its dependent within the island.
-        assert_eq!(p.schedule, vec![1, 0]);
     }
 
     #[test]
@@ -570,7 +363,8 @@ mod tests {
             name: "stray",
         });
         let (p, report) = analyze_deps(&sim.topology(), &SystemModel::new());
-        assert_eq!(p.island_count(), 2);
+        assert!(p.edges.iter().all(|e| e.from != 2 && e.to != 2));
+        assert_eq!(p.schedule, vec![0, 1, 2], "still scheduled");
         let diags = report.by_rule("dependence-unreachable");
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].severity, Severity::Warning);
@@ -591,8 +385,7 @@ mod tests {
     }
 
     /// An observer is folded between cycles, never scheduled within one:
-    /// it sinks no wire edge, and having none is not a finding. It still
-    /// shares the island of the port it watches.
+    /// it sinks no wire edge, and having none is not a finding.
     #[test]
     fn observers_sink_no_edge() {
         let mut sim = Sim::new();
@@ -610,7 +403,6 @@ mod tests {
         assert_eq!(p.edge_count(DepEdgeKind::Wire), 5, "mgr<->sub only");
         assert!(p.edges.iter().all(|e| e.from != 0 && e.to != 0));
         assert!(report.diagnostics().is_empty(), "{report:?}");
-        assert_eq!(p.islands, vec![vec![0, 1, 2]]);
     }
 
     #[test]
@@ -630,19 +422,18 @@ mod tests {
         let topo = Topology::default();
         let (p, report) = analyze_deps(&topo, &SystemModel::new());
         assert!(report.diagnostics().is_empty());
-        assert_eq!(p.island_count(), 0);
-        assert_eq!(p.largest_island(), 0);
+        assert!(p.edges.is_empty());
         assert_eq!(p.depth, 0);
         assert!(p.schedule.is_empty());
     }
 
     #[test]
     fn partition_json_shape() {
-        let (sim, _, _) = pair(("mgr", "sub"));
+        let sim = pair(("mgr", "sub"));
         let (p, _) = analyze_deps(&sim.topology(), &SystemModel::new());
         let j = p.to_json();
         assert!(j.starts_with("{\"components\":2,"));
-        assert!(j.contains("\"island_count\":1"));
+        assert!(j.contains("\"edges\":{\"wire\":5,\"comb\":0}"));
         assert!(j.contains("\"schedule\":[\"mgr\",\"sub\"]"));
         assert!(j.ends_with("]}"));
     }

@@ -73,13 +73,13 @@ pub trait Component: Any {
     ///   system skip while it exists).
     /// - `Some(later)` — ticks strictly before `later` are no-ops absent
     ///   wire activity; the kernel may skip them.
-    /// - `None` — quiescent: only wire activity (or a declared
-    ///   [`Sim::couple`](crate::Sim::couple) write) can require a tick.
+    /// - `None` — quiescent: only wire activity can require a tick.
     ///
     /// Input parked on the component's Consume wires is covered
     /// separately by [`Component::backlog_event`]. A component that reads
-    /// shared state outside its wires must either read it in this hint too
-    /// or be declared a couple dependent of the writer.
+    /// state outside its wires reads it in this hint too: the kernel asks
+    /// every hint again after each quiet cycle, so a pending write to
+    /// shared registers shows up there as "due now".
     ///
     /// Returning a hint before `cycle` is a contract violation: the kernel
     /// executes the next cycle instead of skipping and records it — see

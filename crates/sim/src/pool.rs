@@ -608,12 +608,6 @@ impl ChannelPool {
         self.total_pushed + self.total_popped
     }
 
-    /// Whether the wire addressed by `(slot, index)` accepted or released
-    /// a beat at `cycle` or later.
-    pub(crate) fn slot_touched_since(&self, slot: usize, index: usize, cycle: Cycle) -> bool {
-        self.slot_ring(slot, index).touched_since(cycle)
-    }
-
     /// The ring of the wire addressed by `(slot, index)`.
     fn slot_ring(&self, slot: usize, index: usize) -> &Ring {
         match slot {

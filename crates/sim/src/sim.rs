@@ -9,13 +9,14 @@
 //! [`TAP_HIGH_WATER`] and the observer contract on [`Component`]).
 //!
 //! On top of that the kernel skips idle time for the whole system at once.
-//! After a *quiet* cycle — no wire push, no wire pop, and no
-//! [`Sim::couple`] write that an earlier-registered dependent still has to
-//! see — it asks every ticked component for its
-//! [`Component::next_event`] hint (and, when the component holds input
-//! backlog, its [`Component::backlog_event`] hint) and jumps straight to
-//! the earliest one, bounded by the run target and the clamp. Elided ticks are
-//! reconciled per component through [`Component::on_fast_forward`].
+//! After a *quiet* cycle — no wire push and no wire pop — it asks every
+//! ticked component for its [`Component::next_event`] hint (and, when the
+//! component holds input backlog, its [`Component::backlog_event`] hint)
+//! and jumps straight to the earliest one, bounded by the run target and
+//! the clamp. Elided ticks are reconciled per component through
+//! [`Component::on_fast_forward`]. A component that reads state outside
+//! its wires reads it in its hint too, so a pending write to shared
+//! registers shows up in that scan as "due now".
 //!
 //! Skipping is exact: a quiet cycle leaves every wire as it was, so each
 //! hint's "no wire activity before then" premise holds for the whole
@@ -25,7 +26,6 @@
 //! the `kernel_equivalence` integration tests assert the equivalence.
 
 use std::any::Any;
-use std::collections::BTreeSet;
 use std::fmt;
 
 use realm_telemetry::TelemetrySink;
@@ -177,8 +177,8 @@ pub enum ViolationKind {
     StaleHint,
     /// At the end of a skipped stretch, a component whose hint had promised
     /// silence beyond it claimed to be due already — its hint
-    /// under-reported, or it reacts to state outside its declared wires
-    /// (missing [`Sim::couple`] or port declaration).
+    /// under-reported: it reacts to state outside its declared wires that
+    /// its hint does not read, or it is missing a port declaration.
     MissedWake,
 }
 
@@ -217,10 +217,10 @@ impl fmt::Display for ContractViolation {
 
 /// An undeclared cross-component access caught by the runtime access
 /// sanitizer (`REALM_SANITIZE=1`, see [`Sim::sanitizer_violations`]): a
-/// push, pop, or wake that the component's declared ports and couples do
-/// not account for. The access itself is never blocked — results stay
-/// exact — but each record is a dependence edge missing from the static
-/// graph the lint partition and the kernel's couple handling rely on.
+/// push or pop that the component's declared ports do not account for, or
+/// a wake its own hint did not announce. The access itself is never
+/// blocked — results stay exact — but each record is a dependence the
+/// static graph and the kernel's skip decision do not see.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct SanitizerViolation {
     /// Registration index of the offending component.
@@ -275,18 +275,8 @@ struct Wiring {
     /// `None` for a component that declared no ports (opaque), whose
     /// backlog is any beat anywhere in the pool.
     consume: Vec<Option<Vec<(usize, usize)>>>,
-    /// Sources of a couple whose dependent is registered before them, in
-    /// registration order, as `(position in Sim::ticked, index)`: the
-    /// dependent has already ticked when the source writes, so it sees the
-    /// write one cycle later.
-    backward_sources: Vec<(usize, usize)>,
-    /// Per component: every wire it declares as `(slot, wire)` (empty for
-    /// an opaque component).
-    source_wires: Vec<Vec<(usize, usize)>>,
-    /// Per component: whether it is the dependent of any couple.
-    dependent: Vec<bool>,
-    /// `(components, wires, couples)` the tables were built for.
-    signature: (usize, usize, usize),
+    /// `(components, wires)` the tables were built for.
+    signature: (usize, usize),
 }
 
 /// A cycle-accurate simulator: a [`ChannelPool`] plus an ordered list of
@@ -295,11 +285,10 @@ struct Wiring {
 /// Every executed cycle ticks every component in registration order,
 /// except observers, which are folded over their tap records in batches
 /// instead. The run methods additionally jump over idle stretches: after
-/// a quiet cycle (no push, no pop, no pending coupled write) the whole
-/// system skips to
-/// the earliest [`Component::next_event`] / [`Component::backlog_event`]
-/// hint. Skipping is exact — elided ticks are provable no-ops under the
-/// hint contract, and components reconcile time-proportional counters in
+/// a quiet cycle (no push, no pop) the whole system skips to the earliest
+/// [`Component::next_event`] / [`Component::backlog_event`] hint.
+/// Skipping is exact — elided ticks are provable no-ops under the hint
+/// contract, and components reconcile time-proportional counters in
 /// [`Component::on_fast_forward`] — so a run finishes in the same state,
 /// at the same cycle, as an explicitly stepped one; only wall-clock
 /// changes. [`Sim::kernel_stats`] reports the split.
@@ -334,10 +323,6 @@ pub struct Sim {
     /// `on_fast_forward`. Invariant between advances: `synced_to[i] <=
     /// cycle`, equal to `cycle` right after an executed cycle.
     synced_to: Vec<Cycle>,
-    /// `(source, dependent)` pairs from [`Sim::couple`], in declaration
-    /// order; `couple_set` is the membership index keeping `couple` O(log n).
-    couples: Vec<(usize, usize)>,
-    couple_set: BTreeSet<(usize, usize)>,
     wiring: Wiring,
     /// Position in `ticked` of the component whose hint blocked the last
     /// skip attempt. The next attempt asks it first: in a stretch with no wire traffic but a busy
@@ -382,8 +367,6 @@ impl Sim {
             stats: KernelStats::default(),
             mode: KernelMode::from_env(),
             synced_to: Vec::new(),
-            couples: Vec::new(),
-            couple_set: BTreeSet::new(),
             wiring: Wiring::default(),
             blocker: 0,
             hints: Vec::new(),
@@ -416,24 +399,6 @@ impl Sim {
         self.synced_to.push(self.cycle);
         self.profile.push(ProfileEntry::default());
         ComponentId(self.components.len() - 1)
-    }
-
-    /// Declares that `source`'s tick may mutate state that `dependent`
-    /// reads outside any wire (shared registers, `Rc<RefCell<…>>`
-    /// couplings). Every executed cycle ticks both, so a dependent
-    /// registered after its source sees a write the same cycle; one
-    /// registered before it sees the write the next cycle, and the kernel
-    /// executes that cycle instead of skipping it whenever the source's
-    /// tick may have written. Wire-only interactions need no coupling.
-    pub fn couple(&mut self, source: ComponentId, dependent: ComponentId) {
-        assert!(source.0 < self.components.len(), "unknown source");
-        assert!(dependent.0 < self.components.len(), "unknown dependent");
-        // `couples` keeps declaration order (the topology snapshot reports
-        // it); the set makes the duplicate check O(log n) instead of a
-        // linear scan per call.
-        if source != dependent && self.couple_set.insert((source.0, dependent.0)) {
-            self.couples.push((source.0, dependent.0));
-        }
     }
 
     /// Returns a typed reference to a registered component, or `None` if the
@@ -521,15 +486,7 @@ impl Sim {
     /// elaboration-time analysis before the first cycle runs (see the
     /// `realm-lint` crate).
     pub fn topology(&self) -> crate::Topology {
-        crate::Topology::collect(&self.components, &self.pool, &self.couples)
-    }
-
-    /// The system's island partition: connected components of the
-    /// undirected dependence graph (shared wires + couples), each a group
-    /// that can never observe the others. Convenience wrapper over
-    /// [`Topology::islands`](crate::Topology::islands).
-    pub fn partition(&self) -> Vec<Vec<usize>> {
-        self.topology().islands()
+        crate::Topology::collect(&self.components, &self.pool)
     }
 
     /// Harvests the run's telemetry: every component's
@@ -641,18 +598,17 @@ impl Sim {
 
     /// Executes one cycle of the reference kernel without the exit fold.
     fn step_cycle(&mut self) {
-        self.tick_range(0, self.ticked.len());
+        self.tick_all();
         self.finish_cycle();
     }
 
-    /// Ticks the components at positions `from..to` of `ticked`, in
-    /// registration order, at the current cycle. Kept out of line so that
-    /// [`Sim::step`] and the skipping kernel share one copy of the hot
-    /// loop.
+    /// Ticks every ticked component, in registration order, at the
+    /// current cycle. Kept out of line so that [`Sim::step`] and the
+    /// skipping kernel share one copy of the hot loop.
     #[inline(never)]
-    fn tick_range(&mut self, from: usize, to: usize) {
+    fn tick_all(&mut self) {
         let cycle = self.cycle;
-        for at in from..to {
+        for at in 0..self.ticked.len() {
             self.tick_component(self.ticked[at], cycle);
         }
     }
@@ -848,12 +804,9 @@ impl Sim {
             self.ensure_wiring();
         }
         self.ensure_sanitizer();
-        // The first cycle of a run is never quiet when beats are in flight
-        // (a beat pushed from outside any run becomes visible one cycle in)
-        // or when a coupled dependent may still have to see a write: the
-        // state before the run is not known to be settled.
-        let mut settled =
-            self.pool.total_in_flight() == 0 && self.wiring.backward_sources.is_empty();
+        // The first cycle of a run is never quiet when beats are in flight:
+        // a beat pushed from outside any run becomes visible one cycle in.
+        let mut settled = self.pool.total_in_flight() == 0;
         let mut quiet = false;
         loop {
             if let Some(done) = done.as_mut() {
@@ -899,56 +852,16 @@ impl Sim {
     }
 
     /// Executes one cycle, ticking every non-observer in registration
-    /// order, and reports whether it was quiet: no wire moved a beat, and
-    /// no backward couple source may have written shared state its dependent
-    /// has yet to see. `settled` is `false` for a run's first cycle, which
-    /// is never quiet.
+    /// order, and reports whether it was quiet: no wire moved a beat.
+    /// `settled` is `false` for a run's first cycle, which is never quiet.
     ///
-    /// Each backward source is checked right before it ticks, and only
-    /// while the cycle has moved no beat: then it sees exactly the state it
-    /// had when the cycle began. Once a beat has moved the cycle cannot be
-    /// quiet, so a busy cycle costs one counter compare per backward source.
+    /// A write to state outside the wires (shared registers) needs no
+    /// check here: the hint of a component that reads such state reads it
+    /// too, so the hint scan after a quiet cycle sees the pending write.
     fn execute_cycle(&mut self, settled: bool) -> bool {
         let start = self.pool.moves();
-        let mut quiet = settled;
-        let mut from = 0;
-        for k in 0..self.wiring.backward_sources.len() {
-            let (at, source) = self.wiring.backward_sources[k];
-            self.tick_range(from, at);
-            from = at;
-            if quiet && (self.pool.moves() != start || self.source_due(source, self.cycle)) {
-                quiet = false;
-            }
-        }
-        self.tick_range(from, self.ticked.len());
-        self.finish_cycle();
-        quiet && self.pool.moves() == start
-    }
-
-    /// Whether the couple source `s` may write shared state when it ticks
-    /// at `cycle` (asked right before that tick, with no beat moved yet).
-    /// Under the hint contract its tick changes nothing, shared state
-    /// included, unless its own hint says it is due, it holds input backlog
-    /// it may take now, or one of its wires moved a beat last cycle. Opaque
-    /// sources and sources that are themselves coupled dependents (they may
-    /// pass on a write they just saw) count as always due.
-    fn source_due(&self, s: usize, cycle: Cycle) -> bool {
-        let wires = &self.wiring.source_wires[s];
-        if wires.is_empty() || self.wiring.dependent[s] {
-            return true;
-        }
-        let since = cycle.saturating_sub(1);
-        if wires
-            .iter()
-            .any(|&(slot, wire)| self.pool.slot_touched_since(slot, wire, since))
-        {
-            return true;
-        }
-        let component = &self.components[s];
-        if component.next_event(cycle).is_some_and(|h| h <= cycle) {
-            return true;
-        }
-        self.has_backlog(s) && component.backlog_event(cycle).is_some_and(|h| h <= cycle)
+        self.step_cycle();
+        settled && self.pool.moves() == start
     }
 
     /// Whether component `i` has beats queued on a wire it consumes (any
@@ -1049,16 +962,14 @@ impl Sim {
     /// Rebuilds the [`Wiring`] tables if the topology changed.
     fn ensure_wiring(&mut self) {
         let n = self.components.len();
-        let signature = (n, self.pool.wire_count(), self.couples.len());
+        let signature = (n, self.pool.wire_count());
         if self.wiring.signature == signature && self.hints.len() == n {
             return;
         }
         let counts = self.pool.wire_counts();
         let mut consume = Vec::with_capacity(n);
-        let mut declared = Vec::with_capacity(n);
         for component in &self.components {
             let ports = component.ports();
-            let mut all = Vec::new();
             let mut inputs = Vec::new();
             for port in &ports {
                 let Some(slot) = channel_slot(port.channel) else {
@@ -1068,35 +979,13 @@ impl Sim {
                     continue; // dangling declaration; realm-lint reports it
                 }
                 let key = (slot, port.wire);
-                if !all.contains(&key) {
-                    all.push(key);
-                }
                 if port.dir == PortDir::Consume && !inputs.contains(&key) {
                     inputs.push(key);
                 }
             }
             consume.push((!ports.is_empty()).then_some(inputs));
-            declared.push(all);
         }
-        // An observer never ticks inside a cycle, so as a couple source it
-        // writes nothing a dependent could see late.
-        let mut backward_sources = BTreeSet::new();
-        let mut dependent = vec![false; n];
-        for &(source, dep) in &self.couples {
-            dependent[dep] = true;
-            if dep < source {
-                if let Ok(at) = self.ticked.binary_search(&source) {
-                    backward_sources.insert((at, source));
-                }
-            }
-        }
-        self.wiring = Wiring {
-            consume,
-            backward_sources: backward_sources.into_iter().collect(),
-            source_wires: declared,
-            dependent,
-            signature,
-        };
+        self.wiring = Wiring { consume, signature };
         self.hints = vec![NEVER; n];
     }
 
@@ -1458,9 +1347,11 @@ mod tests {
         assert!(violations[0].to_string().contains("stale"));
     }
 
-    /// Coupled shared state (an `Rc<RefCell<…>>` side channel) stays exact
-    /// under skipping when declared via `Sim::couple`, whichever of the
-    /// two is registered first.
+    /// Shared state outside the wires (an `Rc<RefCell<…>>` side channel)
+    /// stays exact under skipping when the component that reads it reads
+    /// it in its hint too, whichever of writer and reader is registered
+    /// first. Nothing else is declared: the write moves no beat, so only
+    /// the reader's hint keeps the kernel from skipping past it.
     #[test]
     fn coupled_shared_state_matches_stepping() {
         use std::cell::RefCell;
@@ -1469,9 +1360,8 @@ mod tests {
         type Shared = Rc<RefCell<u64>>;
 
         /// Writes to shared state at one fixed cycle, then sleeps forever.
-        /// Its hint drops as soon as the write is done, so only a check
-        /// made before that tick sees it due. It declares an (idle) output
-        /// wire, so the kernel judges it by its hint, not as opaque.
+        /// It declares an (idle) output wire, so the kernel judges it by
+        /// its hint, not as opaque.
         struct Writer {
             shared: Shared,
             out: WireId<WBeat>,
@@ -1493,7 +1383,8 @@ mod tests {
             }
         }
 
-        /// Sleeps until woken; samples the shared state every tick.
+        /// Samples the shared state every tick; its hint is "due now"
+        /// exactly while the shared value differs from its last sample.
         struct Reader {
             shared: Shared,
             samples: Vec<(Cycle, u64)>,
@@ -1502,8 +1393,9 @@ mod tests {
             fn tick(&mut self, ctx: &mut TickCtx<'_>) {
                 self.samples.push((ctx.cycle, *self.shared.borrow()));
             }
-            fn next_event(&self, _cycle: Cycle) -> Option<Cycle> {
-                None
+            fn next_event(&self, cycle: Cycle) -> Option<Cycle> {
+                let seen = self.samples.last().map(|&(_, v)| v);
+                (seen != Some(*self.shared.borrow())).then_some(cycle)
             }
         }
 
@@ -1521,14 +1413,16 @@ mod tests {
                 at: 400,
                 done: false,
             };
-            let (writer, reader) = if reader_first {
+            let reader = if reader_first {
                 let reader = sim.add(reader);
-                (sim.add(writer), reader)
+                sim.add(writer);
+                reader
             } else {
-                (sim.add(writer), sim.add(reader))
+                sim.add(writer);
+                sim.add(reader)
             };
-            sim.couple(writer, reader);
             sim.run(1_000);
+            let skipped = sim.kernel_stats().cycles_skipped;
             let reader = sim.component::<Reader>(reader).unwrap();
             // Keep the first sample of each distinct value: when the
             // reader first saw the write.
@@ -1538,48 +1432,19 @@ mod tests {
                     firsts.push((c, v));
                 }
             }
-            firsts
+            (firsts, skipped)
         };
         // Writer first: the reader ticks after the write the same cycle.
-        let fast = run(KernelMode::Skip, false);
-        assert_eq!(fast, run(KernelMode::Step, false));
+        let (fast, skipped) = run(KernelMode::Skip, false);
+        assert_eq!(fast, run(KernelMode::Step, false).0);
         assert_eq!(fast, [(0, 0), (400, 400)]);
+        assert!(skipped > 900, "idle stretches are skipped: {skipped}");
         // Reader first: it sees the write one cycle later, and the kernel
         // must execute that cycle although nothing moved on a wire.
-        let fast = run(KernelMode::Skip, true);
-        assert_eq!(fast, run(KernelMode::Step, true));
+        let (fast, skipped) = run(KernelMode::Skip, true);
+        assert_eq!(fast, run(KernelMode::Step, true).0);
         assert_eq!(fast, [(0, 0), (401, 400)]);
-    }
-
-    struct Nop;
-    impl Component for Nop {
-        fn tick(&mut self, _ctx: &mut TickCtx<'_>) {}
-    }
-
-    /// Registering couples stays cheap at scale and keeps declaration
-    /// order; duplicates and self-couples are ignored.
-    #[test]
-    fn couple_dedup_scales_and_keeps_order() {
-        let mut sim = Sim::new();
-        let ids: Vec<_> = (0..101).map(|_| sim.add(Nop)).collect();
-        let mut expected = Vec::new();
-        for &a in &ids {
-            for &b in &ids {
-                if a != b {
-                    sim.couple(a, b);
-                    expected.push((a.index(), b.index()));
-                }
-            }
-        }
-        // Re-register every pair (all duplicates) plus self-couples.
-        for &a in &ids {
-            for &b in &ids {
-                sim.couple(a, b);
-            }
-        }
-        let topo = sim.topology();
-        assert_eq!(topo.couples.len(), 101 * 100, "10100 distinct couples");
-        assert_eq!(topo.couples, expected, "declaration order preserved");
+        assert!(skipped > 900, "idle stretches are skipped: {skipped}");
     }
 
     /// Deliberately broken hinter: always claims a wake in the past, so
@@ -1785,39 +1650,6 @@ mod tests {
         );
     }
 
-    /// Two producer/consumer pairs on disjoint wires: in registration order
-    /// `[pa, ca, pb, cb]` the dependence graph splits into two islands.
-    fn build_pairs() -> (Sim, ComponentId, ComponentId) {
-        let mut sim = Sim::new();
-        let wa = sim.pool_mut().new_wire::<WBeat>(2);
-        let wb = sim.pool_mut().new_wire::<WBeat>(2);
-        sim.add(Producer {
-            out: wa,
-            sent: 0,
-            limit: 5,
-        });
-        let ca = sim.add(Consumer {
-            input: wa,
-            received: Vec::new(),
-        });
-        sim.add(Producer {
-            out: wb,
-            sent: 0,
-            limit: 7,
-        });
-        let cb = sim.add(Consumer {
-            input: wb,
-            received: Vec::new(),
-        });
-        (sim, ca, cb)
-    }
-
-    #[test]
-    fn independent_pairs_form_two_islands() {
-        let (sim, ..) = build_pairs();
-        assert_eq!(sim.partition(), vec![vec![0, 1], vec![2, 3]]);
-    }
-
     /// Declares one wire, touches another: the armed sanitizer flags both
     /// the push and the pop, with names resolved.
     struct Rogue {
@@ -1957,23 +1789,6 @@ mod tests {
         }
         assert_eq!(KernelMode::Skip.name(), "skip");
         assert_eq!(KernelMode::Step.name(), "step");
-    }
-
-    /// A couple source registered after its dependent is asked, before it
-    /// ticks, whether it may write: an idle one does not stop the skip,
-    /// a busy one does. The dependent is coupled to an idle source here,
-    /// so the system still skips nearly everything.
-    #[test]
-    fn idle_backward_couple_source_does_not_stop_skipping() {
-        let (mut sim, p, c) = build();
-        sim.couple(c, p);
-        sim.run(1_000);
-        let stats = sim.kernel_stats();
-        assert!(
-            stats.cycles_skipped > 900,
-            "an idle source must not pin the kernel: {stats:?}"
-        );
-        assert_eq!(sim.component::<Consumer>(c).unwrap().received.len(), 5);
     }
 
     /// Input parked on a consumer's wire keeps the system from skipping

@@ -111,13 +111,6 @@ impl Ring {
         self.len < self.cap && self.last_push != cycle
     }
 
-    /// `true` if the ring accepted or released a beat at `cycle` or later.
-    #[inline]
-    pub(crate) fn touched_since(&self, cycle: Cycle) -> bool {
-        (self.last_push != NO_CYCLE && self.last_push >= cycle)
-            || (self.last_pop != NO_CYCLE && self.last_pop >= cycle)
-    }
-
     /// Arena index of the slot a push would write next.
     #[inline]
     fn tail_slot(&self) -> usize {

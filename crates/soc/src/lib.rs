@@ -35,11 +35,8 @@ pub use testbench::{
 /// Startup gate for experiment binaries that never construct a
 /// [`Testbench`] themselves (the analytic tables): builds the default
 /// contended Cheshire system, runs the elaboration-time analyzer over it,
-/// and panics on error-severity findings. Honors `REALM_LINT=0`.
+/// and panics on error-severity findings.
 pub fn startup_lint(binary: &str) {
-    if !realm_lint::enabled_by_env() {
-        return;
-    }
     let mut cfg = TestbenchConfig::single_source(1);
     cfg.dma = Some(TestbenchConfig::worst_case_dma());
     cfg.core_regulation = Regulation::Realm(experiments::llc_regulation(256, 0, 0));

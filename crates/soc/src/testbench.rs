@@ -307,16 +307,13 @@ impl Testbench {
             .map(|&id| sim.component::<RealmUnit>(id).expect("realm added").regs())
             .collect();
         let guard = BusGuard::new(RealmRegFile::new(unit_regs));
-        let mmio = sim.add(MmioSubordinate::new(guard, CFG_BASE, CFG_SIZE, cfg_port));
         // The register file and the REALM units share state outside the wire
-        // graph (`Rc<RefCell<RegState>>`), which the kernel cannot see.
-        // Declaring the coupling keeps the kernel from skipping the cycle
-        // after an MMIO tick that may have written a unit's registers (the
-        // units tick before the MMIO frontend, so they see a write one
-        // cycle later).
-        for &id in realm_ids.iter().flatten() {
-            sim.couple(mmio, id);
-        }
+        // graph (`Rc<RefCell<RegState>>`). The units tick before the MMIO
+        // frontend, so they see a write one cycle later, in a cycle that may
+        // move no beat; each unit's wake hint reads the shared registers and
+        // reports itself due while a write is unapplied, so the kernel never
+        // skips that cycle.
+        sim.add(MmioSubordinate::new(guard, CFG_BASE, CFG_SIZE, cfg_port));
 
         // Protocol monitors, attached last so functional component indices
         // are identical with monitors on or off. Each manager's upstream
@@ -362,14 +359,11 @@ impl Testbench {
             scoreboard,
         };
 
-        // Elaboration-time analysis before the first cycle, mirroring the
-        // monitor auto-attach: on by default, `REALM_LINT=0` opts out.
-        // Feasibility findings are warnings (the paper's own Fig. 6b
-        // configuration over-subscribes the LLC); only structural errors
-        // abort construction.
-        if realm_lint::enabled_by_env() {
-            realm_lint::apply("testbench", &tb.lint_report());
-        }
+        // Elaboration-time analysis before the first cycle. Feasibility
+        // findings are warnings (the paper's own Fig. 6b configuration
+        // over-subscribes the LLC); only structural errors abort
+        // construction.
+        realm_lint::apply("testbench", &tb.lint_report());
         tb
     }
 
@@ -573,11 +567,8 @@ impl Testbench {
     }
 
     /// The static dependence partition of this system (Pass C of
-    /// `realm-lint`): island decomposition, evaluation schedule, and edge
-    /// census. The Cheshire testbench is deliberately one island — the
-    /// crossbar wires every manager to every subordinate — so the value
-    /// here is the schedule/edge census and the regression that the
-    /// partition never silently fragments.
+    /// `realm-lint`): the evaluation schedule, its zero-latency depth, and
+    /// the edge census.
     pub fn partition(&self) -> realm_lint::Partition {
         realm_lint::analyze_deps(&self.sim.topology(), &self.lint_model()).0
     }

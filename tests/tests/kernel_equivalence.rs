@@ -553,7 +553,7 @@ fn testbench_run_matches_stepping() {
 /// to single beats, and the run advances in period-sized `run_until`
 /// chunks. Nearly every cycle is idle, so this is where skipping does the
 /// most work — and where a skip past a cycle that still mattered (a
-/// coupled register write, input parked behind a closed intake gate)
+/// shared-register write, input parked behind a closed intake gate)
 /// would shift the isolation accounting. Every model statistic and
 /// telemetry counter, `isolated_cycles` included, must match stepping;
 /// only the `kernel.*` counters may differ.
@@ -632,6 +632,131 @@ fn sparse_regulated_isolation_matches_stepping() {
         stats.cycles_skipped * 10 > stats.cycles_total() * 8,
         "most cycles must be skipped: {stats:?}"
     );
+}
+
+/// Software reprograms a REALM unit over the bus mid-run, the way the
+/// paper's configuration flow does: the MMIO frontend writes the unit's
+/// shared registers, outside every wire. The unit ticks before the
+/// frontend, so it sees each write one cycle later, in a cycle that may
+/// move no beat — only its own wake hint, which reads the shared registers,
+/// keeps that cycle from being skipped. Rewriting the DMA's budget and
+/// period, isolating and releasing it, and reading its status back must
+/// all land at the cycles stepping lands them; only `kernel.*` may differ.
+#[test]
+fn mmio_reprogramming_matches_stepping() {
+    use axi_realm::offsets;
+    use cheshire_soc::experiments::llc_regulation;
+    use cheshire_soc::{Regulation, CFG_BASE};
+
+    const CFG_ID: u32 = 42;
+    const CHUNK: u64 = 1_777;
+    let write = |addr: u64, value: u64| {
+        let aw = AwBeat::new(
+            TxnId::new(CFG_ID),
+            Addr::new(addr),
+            BurstLen::ONE,
+            BurstSize::bus64(),
+            BurstKind::Incr,
+        );
+        Op::Write(WriteTxn::from_words(aw, [value]).expect("single-beat write"))
+    };
+    let read = |addr: u64| {
+        Op::Read(ArBeat::new(
+            TxnId::new(CFG_ID),
+            Addr::new(addr),
+            BurstLen::ONE,
+            BurstSize::bus64(),
+            BurstKind::Incr,
+        ))
+    };
+    // The DMA is manager 1, so its unit is register block 1.
+    let unit = CFG_BASE.raw() + offsets::unit(1);
+    let region = CFG_BASE.raw() + offsets::region(1, 0);
+    let script = vec![
+        write(CFG_BASE.raw(), 0), // claim the guard
+        Op::Wait(3_001),
+        write(region + offsets::R_BUDGET, 1_024),
+        Op::Wait(4_999),
+        write(region + offsets::R_PERIOD, 3_001),
+        Op::Wait(7_013),
+        write(unit + offsets::CTRL, 0b101), // enable + isolate
+        read(unit + offsets::STATUS),
+        Op::Wait(9_001),
+        write(unit + offsets::CTRL, 0b001), // enable, released
+        read(unit + offsets::ISOLATED_CYCLES),
+        Op::Wait(5_003),
+        read(unit + offsets::STATUS),
+    ];
+
+    let run = |mode: KernelMode| {
+        let mut cfg = TestbenchConfig::single_source(300);
+        cfg.core.compute_cycles = 200;
+        cfg.dma = Some(TestbenchConfig::worst_case_dma());
+        cfg.core_regulation = Regulation::Realm(llc_regulation(1, 8 * 1024, 2_000));
+        cfg.dma_regulation = Regulation::Realm(llc_regulation(1, 512, 2_000));
+        cfg.config_script = script.clone();
+        let mut tb = Testbench::new(cfg);
+        tb.sim_mut().set_kernel_mode(mode);
+        let mut done = false;
+        while !done && tb.sim().cycle() < 400_000 {
+            done = tb.run_until_core_done(CHUNK);
+        }
+        assert!(done, "{mode:?}: the core must finish");
+        tb
+    };
+    let fast = run(KernelMode::Skip);
+    let slow = run(KernelMode::Step);
+
+    let model = |tb: &Testbench| {
+        let r = tb.result();
+        let counters: Vec<(String, u64)> = r
+            .telemetry
+            .counters()
+            .iter()
+            .filter(|(k, _)| !k.starts_with("kernel."))
+            .map(|(k, v)| (k.clone(), *v))
+            .collect();
+        (
+            (r.cycles, tb.sim().cycle()),
+            format!("{:?}", r.core_latency),
+            counters,
+            format!("{:?}", r.telemetry.histograms()),
+            format!("{:?}", tb.dma_realm().expect("regulated").stats()),
+            format!(
+                "{:?}",
+                tb.config_master().expect("config script").completions()
+            ),
+        )
+    };
+    let (a, b) = (model(&fast), model(&slow));
+    assert_eq!(a.0, b.0, "cycles");
+    assert_eq!(a.1, b.1, "core latency");
+    assert_eq!(a.2, b.2, "telemetry counters");
+    assert_eq!(a.3, b.3, "telemetry histograms");
+    assert_eq!(a.4, b.4, "DMA unit stats");
+    assert_eq!(a.5, b.5, "config master completions");
+    fast.assert_conformance();
+    assert!(fast.sim().contract_violations().is_empty());
+
+    // The script must really have run and really have reprogrammed the
+    // unit, and the run must really have skipped — otherwise the
+    // comparison above pins neither the register path nor the skip.
+    let master = fast.config_master().expect("config script");
+    assert!(master.is_done(), "the whole script ran");
+    let completions = master.completions();
+    assert!(completions.iter().all(|c| c.resp == axi4::Resp::Okay));
+    let reads: Vec<u64> = completions
+        .iter()
+        .filter_map(|c| c.data.first().copied())
+        .collect();
+    assert_eq!(reads.len(), 3, "{completions:?}");
+    assert_eq!(reads[0] & 1, 1, "STATUS reads isolated after the request");
+    assert!(reads[1] > 0, "ISOLATED_CYCLES counted the isolation");
+    assert_eq!(reads[2] & 1, 0, "STATUS reads released at the end");
+    let config = fast.dma_realm().expect("regulated").monitor().regions()[0].config;
+    assert_eq!((config.budget_max, config.period), (1_024, 3_001));
+    let stats = fast.sim().kernel_stats();
+    assert!(stats.cycles_skipped > 0, "{stats:?}");
 }
 
 /// A monitor's full verdict, in comparable form: counters, exact per-rule

@@ -301,68 +301,9 @@ fn golden_zero_latency_cycle() {
 }
 
 #[test]
-fn golden_couple_redundant() {
-    // A couple between two components that already share every wire of a
-    // bundle: the dependence edge is a duplicate.
-    let mut sim = Sim::new();
-    let b = AxiBundle::with_defaults(sim.pool_mut());
-    let mgr = sim.add(Mgr(b));
-    let sub = sim.add(Sub(b));
-    sim.couple(mgr, sub);
-    let report = analyze(&sim.topology(), &SystemModel::new());
-    let diags = report.by_rule("couple-redundant");
-    assert_eq!(diags.len(), 1, "{report}");
-    assert_eq!(diags[0].severity, Severity::Warning);
-    assert_eq!(diags[0].path, "mgr->sub");
-    assert!(diags[0]
-        .message
-        .contains("duplicates an existing wire edge"));
-    // Redundant couples never changed the partition, so the island rule
-    // stays quiet, and warnings do not spoil cleanliness.
-    assert!(report.by_rule("couple-merges-islands").is_empty());
-    assert!(report.is_clean(), "{report}");
-}
-
-#[test]
-fn golden_couple_merges_islands() {
-    // Island 1: a manager/subordinate pair. Island 2: a well-formed hop
-    // ring. The single couple is the only edge welding them together.
-    let mut sim = Sim::new();
-    let main = AxiBundle::with_defaults(sim.pool_mut());
-    let mgr = sim.add(Mgr(main));
-    sim.add(Sub(main));
-    let ring_a = AxiBundle::with_defaults(sim.pool_mut());
-    let ring_b = AxiBundle::with_defaults(sim.pool_mut());
-    let hop = sim.add(Hop {
-        name: "ring.a",
-        front: ring_a,
-        back: ring_b,
-    });
-    sim.add(Hop {
-        name: "ring.b",
-        front: ring_b,
-        back: ring_a,
-    });
-    sim.couple(mgr, hop);
-    let topo = sim.topology();
-    assert_eq!(topo.islands().len(), 1, "the couple merges the partition");
-    let report = analyze(&topo, &SystemModel::new());
-    let diags = report.by_rule("couple-merges-islands");
-    assert_eq!(diags.len(), 1, "{report}");
-    assert_eq!(diags[0].severity, Severity::Info);
-    assert_eq!(diags[0].path, "mgr->ring.a");
-    assert!(
-        diags[0].message.contains("(mgr -> ring.a)"),
-        "the exact edge to blame is named: {}",
-        diags[0].message
-    );
-    assert!(report.by_rule("couple-redundant").is_empty());
-}
-
-#[test]
 fn golden_dependence_unreachable() {
-    // A hop on a private bundle pair nobody else touches: no wire, couple,
-    // or comb edge reaches it.
+    // A hop on a private bundle pair nobody else touches: no wire or comb
+    // edge reaches it.
     let mut sim = Sim::new();
     let main = AxiBundle::with_defaults(sim.pool_mut());
     sim.add(Mgr(main));
@@ -400,21 +341,32 @@ fn testbench_is_analyzer_clean() {
     );
 }
 
-/// Pass C on the full testbench: the crossbar wires every manager to
-/// every subordinate, so the Cheshire system is — by design — exactly one
-/// island, and this must never silently fragment (a fragment would mean a
-/// component lost its port declarations).
+/// Pass C on the full testbench reaches every component: none is opaque,
+/// every one is scheduled, and no dependence edge is missing — a
+/// component that lost its port declarations would show up here as
+/// opaque or unreachable.
 #[test]
-fn testbench_partition_is_one_island() {
+fn testbench_partition_reaches_every_component() {
     let mut cfg = TestbenchConfig::single_source(1);
     cfg.dma = Some(TestbenchConfig::worst_case_dma());
     cfg.core_regulation = Regulation::Realm(cheshire_soc::experiments::llc_regulation(1, 0, 0));
     cfg.dma_regulation = Regulation::Realm(cheshire_soc::experiments::llc_regulation(1, 0, 0));
     let tb = Testbench::new(cfg);
     let p = tb.partition();
-    assert_eq!(p.island_count(), 1, "{}", p.to_json());
-    assert_eq!(p.largest_island(), p.names.len());
-    assert_eq!(p.schedule.len(), p.names.len());
+    assert_eq!(p.opaque, 0, "{}", p.to_json());
+    let mut scheduled = p.schedule.clone();
+    scheduled.sort_unstable();
+    assert_eq!(
+        scheduled,
+        (0..p.names.len()).collect::<Vec<_>>(),
+        "{}",
+        p.to_json()
+    );
+    let report = tb.lint_report();
+    assert!(
+        report.by_rule("dependence-unreachable").is_empty(),
+        "{report}"
+    );
     // The MMIO frontend's zero-latency coupling into each REALM unit gives
     // the schedule a depth of at least two (mmio before the units).
     assert!(p.depth >= 2, "{}", p.to_json());
